@@ -15,6 +15,11 @@
 //                                    seeded byte-level mutations through
 //                                    the legacy and fast SWF parsers,
 //                                    asserting identical verdicts
+//   fuzz protocol [seed] [cases]     daemon protocol/session fuzzing:
+//                                    seeded request lines through the
+//                                    wire codec and the session FSM,
+//                                    asserting round trips and legal
+//                                    transitions
 //   stats <file.swf>                 print aggregate statistics
 //   anonymize <in.swf> <out.swf>     renumber identities incrementally
 //   generate <model> <jobs> <nodes> <load> <out.swf>
@@ -121,6 +126,7 @@ int usage() {
       "[fault-flags]\n"
       "  fuzz [seed] [workloads] [jobs-per-workload]\n"
       "  fuzz parse [seed] [cases]\n"
+      "  fuzz protocol [seed] [cases]\n"
       "  stats <file.swf>\n"
       "  anonymize <in.swf> <out.swf>\n"
       "  generate <feitelson96|jann97|lublin99|downey97> <jobs> <nodes> "
@@ -407,6 +413,15 @@ int cmd_fuzz_parse(std::uint64_t seed, int cases) {
   options.seed = seed;
   options.cases = cases;
   const auto report = validate::run_parser_fuzzer(options);
+  std::cout << report.summary() << "\n";
+  return report.clean() ? 0 : 1;
+}
+
+int cmd_fuzz_protocol(std::uint64_t seed, int cases) {
+  validate::ProtocolFuzzOptions options;
+  options.seed = seed;
+  options.cases = cases;
+  const auto report = validate::run_protocol_fuzzer(options);
   std::cout << report.summary() << "\n";
   return report.clean() ? 0 : 1;
 }
@@ -817,17 +832,22 @@ int main(int argc, char** argv) {
       if (!parse_run_flags(argc, argv, 5, flags)) return 2;
       return cmd_validate_golden(argv[2], argv[3], argv[4], flags);
     }
-    if (cmd == "fuzz" && argc >= 3 && std::string(argv[2]) == "parse" &&
-        argc <= 5) {
+    if (cmd == "fuzz" && argc >= 3 && argc <= 5 &&
+        (std::string(argv[2]) == "parse" ||
+         std::string(argv[2]) == "protocol")) {
+      const std::string what = argv[2];
       using OptI64 = std::optional<std::int64_t>;
       const OptI64 seed = argc > 3 ? util::parse_i64(argv[3]) : OptI64(1);
       const OptI64 cases = argc > 4 ? util::parse_i64(argv[4]) : OptI64(200);
       if (!seed || !cases || *seed < 0 || *cases <= 0) {
-        std::cerr << "fuzz parse: seed must be a non-negative integer, "
-                     "cases a positive integer\n";
+        std::cerr << "fuzz " << what
+                  << ": seed must be a non-negative integer, cases a "
+                     "positive integer\n";
         return 2;
       }
-      return cmd_fuzz_parse(std::uint64_t(*seed), int(*cases));
+      return what == "parse"
+                 ? cmd_fuzz_parse(std::uint64_t(*seed), int(*cases))
+                 : cmd_fuzz_protocol(std::uint64_t(*seed), int(*cases));
     }
     if (cmd == "fuzz" && argc >= 2 && argc <= 5) {
       // atoll would map a mangled seed ("1e5", truncated paste) to 0

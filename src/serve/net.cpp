@@ -141,28 +141,39 @@ void shutdown_read(int fd) {
 }
 
 std::optional<std::string> LineReader::read_line() {
-  while (true) {
-    const auto nl = buffer_.find('\n');
+  while (!too_long_) {
+    // Only bytes received since the last search can hold the newline.
+    const auto nl = buffer_.find('\n', scan_);
+    const std::size_t end = nl == std::string::npos ? buffer_.size() : nl;
+    if (end - head_ > kMaxLineBytes) {
+      too_long_ = true;
+      break;
+    }
     if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
+      std::string line = buffer_.substr(head_, nl - head_);
+      head_ = scan_ = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    if (eof_) return std::nullopt;
+    if (eof_) break;  // an unterminated final line is dropped
+    // Drop consumed lines once per receive, not once per line.
+    buffer_.erase(0, head_);
+    scan_ = buffer_.size();
+    head_ = 0;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       eof_ = true;
-      return std::nullopt;
+      break;
     }
     if (n == 0) {
       eof_ = true;
-      continue;  // flush a final unterminated line? no: require '\n'
+      continue;
     }
     buffer_.append(chunk, std::size_t(n));
   }
+  return std::nullopt;
 }
 
 }  // namespace pjsb::serve::net

@@ -5,6 +5,7 @@
 // callers decide whether a failed connection is fatal.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,19 +36,30 @@ void shutdown_fd(int fd);
 /// the session that requested SHUTDOWN still receives its OK).
 void shutdown_read(int fd);
 
-/// Buffered newline-delimited reader over a blocking fd.
+/// Longest line LineReader accepts, '\n' excluded.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// Buffered newline-delimited reader over a blocking fd. Memory is
+/// bounded by kMaxLineBytes plus one receive chunk.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Next line without its '\n' (a trailing '\r' is stripped too).
-  /// Nullopt on EOF or error with no complete line buffered.
+  /// Nullopt on EOF or error with no complete line buffered, and for
+  /// good once a line exceeds kMaxLineBytes (see line_too_long()).
   std::optional<std::string> read_line();
+
+  /// True once a line longer than kMaxLineBytes arrived.
+  bool line_too_long() const { return too_long_; }
 
  private:
   int fd_;
   std::string buffer_;
+  std::size_t head_ = 0;  ///< start of the unconsumed bytes
+  std::size_t scan_ = 0;  ///< bytes before this hold no '\n'
   bool eof_ = false;
+  bool too_long_ = false;
 };
 
 }  // namespace pjsb::serve::net

@@ -197,7 +197,8 @@ std::string serialize_request(const Request& request) {
       if (request.at) out << " at=" << *request.at;
       if (request.runtime) out << " runtime=" << *request.runtime;
       if (request.id) out << " id=" << *request.id;
-      if (request.user >= 0) out << " user=" << request.user;
+      // Any value but the default: parse_request accepts negatives.
+      if (request.user != Request{}.user) out << " user=" << request.user;
       break;
     case Verb::kKill:
     case Verb::kQuery:

@@ -35,14 +35,14 @@ void install_signal_handlers() {
 }  // namespace
 
 Server::Server(ServerConfig config, std::unique_ptr<sim::Engine> engine)
-    : config_(std::move(config)), engine_(std::move(engine)) {
-  if (!engine_) throw std::invalid_argument("Server: null engine");
-  if (engine_->needs_job_source()) {
+    : config_(std::move(config)), decisions_(config_.decisions_path) {
+  if (!engine) throw std::invalid_argument("Server: null engine");
+  if (engine->needs_job_source()) {
     throw std::invalid_argument(
         "Server: engine needs a resumed job source; the daemon serves "
         "self-contained states only");
   }
-  engine_->add_observer(recorder_);
+  adopt_engine(std::move(engine));
 }
 
 Server::~Server() {
@@ -92,15 +92,16 @@ void Server::wait() {
   // Join the acceptor first: once it is gone no new connection thread
   // can appear, so the harvest below is complete.
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> conns;
+  std::map<std::int64_t, std::thread> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
     // Read-half only: the session that asked for SHUTDOWN may still be
     // sending its OK reply from its own thread; the joins below flush it.
     for (const int fd : conn_fds_) net::shutdown_read(fd);
     conns.swap(conn_threads_);
+    finished_conns_.clear();
   }
-  for (auto& t : conns) {
+  for (auto& [id, t] : conns) {
     if (t.joinable()) t.join();
   }
   if (engine_thread_.joinable()) engine_thread_.join();
@@ -123,9 +124,62 @@ std::uint64_t Server::epoch() const {
   return epoch_;
 }
 
+std::size_t Server::connection_threads() const {
+  const std::lock_guard<std::mutex> lock(conn_mutex_);
+  return conn_threads_.size();
+}
+
 std::shared_ptr<const Server::Tier> Server::tier() const {
   const std::lock_guard<std::mutex> lock(tier_mutex_);
   return tier_;
+}
+
+// -- bounded history ----------------------------------------------------
+
+void Server::adopt_engine(std::unique_ptr<sim::Engine> engine) {
+  engine_ = std::move(engine);
+  // Terminations before the state was cut; index entries past them
+  // belong to a timeline this RESUME abandons.
+  const auto stats = engine_->stats();
+  terminated_ = stats.jobs_completed + stats.jobs_dropped;
+  {
+    const std::lock_guard<std::mutex> lock(finished_mutex_);
+    std::erase_if(finished_, [this](const auto& entry) {
+      return entry.second.ordinal > terminated_;
+    });
+  }
+  // Jobs the engine held terminated (a retain-history snapshot) all
+  // precede the cut; they share its ordinal.
+  for (const sim::SimJob& job : engine_->bound_history()) {
+    remember_finished(job.id, {job.submit, job.procs, job.start, job.end,
+                               0, terminated_});
+  }
+  engine_->add_observer(decisions_);
+  engine_->add_observer(*this);
+}
+
+void Server::remember_finished(std::int64_t id, FinishedJob entry) {
+  // epoch_ is written only by the engine thread (or by start() before
+  // it exists), which is also the only caller here.
+  entry.epoch = epoch_ + 1;
+  const std::lock_guard<std::mutex> lock(finished_mutex_);
+  finished_[id] = entry;
+}
+
+bool Server::is_finished(std::int64_t job_id) const {
+  const std::lock_guard<std::mutex> lock(finished_mutex_);
+  return finished_.count(job_id) != 0;
+}
+
+void Server::on_job_complete(const sim::CompletedJob& job) {
+  remember_finished(job.id, {job.submit, job.procs, job.start, job.end, 0,
+                             ++terminated_});
+}
+
+void Server::on_job_drop(std::int64_t, const sim::SimJob& job,
+                         sim::DropReason) {
+  remember_finished(job.id, {job.submit, job.procs, job.start, job.end, 0,
+                             ++terminated_});
 }
 
 // -- session-facing verbs ---------------------------------------------
@@ -190,7 +244,18 @@ Response Server::shutdown() {
 Response Server::query(std::int64_t job_id) {
   const auto t = tier();
   if (!t) return error_response(kErrState, "not serving yet");
-  const auto status = t->service->query_job(job_id);
+  auto status = t->service->query_job(job_id);
+  if (!status) {
+    // Not live at this epoch: finished by then, or unknown.
+    const std::lock_guard<std::mutex> lock(finished_mutex_);
+    const auto it = finished_.find(job_id);
+    if (it != finished_.end() && it->second.epoch <= t->epoch) {
+      const FinishedJob& f = it->second;
+      status = sim::WhatIfJobStatus{job_id, sim::JobStateName::kFinished,
+                                    f.submit, f.procs, f.start, f.end,
+                                    std::nullopt};
+    }
+  }
   if (!status) return error_response(kErrNotFound, "unknown job id");
   Response r = ok_response()
                    .with("id", status->id)
@@ -234,6 +299,7 @@ Response Server::status() {
       .with("killed", t->killed)
       .with("dropped", t->dropped)
       .with("decisions", std::int64_t(t->decisions))
+      .with("snapshot_bytes", std::int64_t(t->service->bytes().size()))
       .with("sessions", active_sessions_.load())
       .with("draining", draining_.load() ? 1 : 0)
       .with("mode", config_.time_scale > 0 ? "wall" : "logical");
@@ -333,7 +399,8 @@ Response Server::apply_submit(const Request& request) {
   // A stale timestamp is submitted immediately, mirroring the engine's
   // straggler rule for trace sources.
   if (at < now) at = now;
-  if (request.id && engine_->find_job(*request.id)) {
+  if (request.id &&
+      (engine_->find_job(*request.id) || is_finished(*request.id))) {
     return error_response(kErrBadRequest,
                           "job id " + std::to_string(*request.id) +
                               " already exists");
@@ -364,6 +431,10 @@ Response Server::apply_kill(std::int64_t job_id) {
   if (draining_.load()) return error_response(kErrDraining, "drained");
   std::string why;
   if (!engine_->cancel_job(job_id, &why)) {
+    // The engine released finished jobs' slots and calls them unknown.
+    if (why == "unknown job id" && is_finished(job_id)) {
+      why = "job already terminated";
+    }
     const bool unknown = why == "unknown job id";
     return error_response(unknown ? kErrNotFound : kErrBadRequest, why);
   }
@@ -394,8 +465,8 @@ Response Server::apply_resume(const std::string& path) {
         "snapshot needs a resumed job source; the daemon serves "
         "self-contained states only");
   }
-  engine_ = std::move(restored);
-  engine_->add_observer(recorder_);
+  // The decision stream keeps appending across the swap.
+  adopt_engine(std::move(restored));
   horizon_ = engine_->now();
   sim_origin_ = engine_->now();
   wall_origin_ = Clock::now();
@@ -409,14 +480,15 @@ Response Server::apply_drain() {
     engine_->notify_run_end();
     drained_.store(true);
     horizon_ = engine_->now();
-    write_decisions();
+    // Best effort: the decision count still reaches STATUS and DRAIN.
+    decisions_.flush();
   }
   const auto stats = engine_->stats();
   return ok_response()
       .with("drained", 1)
       .with("time", engine_->now())
       .with("completed", stats.jobs_completed)
-      .with("decisions", std::int64_t(recorder_.decisions().size()));
+      .with("decisions", std::int64_t(decisions_.count()));
 }
 
 Response Server::apply_shutdown() {
@@ -428,7 +500,7 @@ Response Server::apply_shutdown() {
       // Last-gasp best effort: shutting down anyway.
     }
   }
-  write_decisions();
+  decisions_.flush();
   stopping_.store(true);
   return ok_response().with("bye", 1);
 }
@@ -464,21 +536,10 @@ void Server::publish() {
   next->completed = stats.jobs_completed;
   next->killed = stats.jobs_killed;
   next->dropped = stats.jobs_dropped;
-  next->decisions = recorder_.decisions().size();
+  next->decisions = decisions_.count();
   const std::lock_guard<std::mutex> lock(tier_mutex_);
   next->epoch = ++epoch_;
   tier_ = std::move(next);
-}
-
-void Server::write_decisions() const {
-  if (config_.decisions_path.empty()) return;
-  try {
-    sim::snapshot::write_file(
-        config_.decisions_path,
-        validate::decisions_to_csv(recorder_.decisions()));
-  } catch (const std::exception&) {
-    // Best effort; STATUS still reports the count.
-  }
 }
 
 // -- socket layer -----------------------------------------------------
@@ -497,11 +558,23 @@ void Server::accept_loop(int listen_fd) {
       net::close_fd(fd);
       break;
     }
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn_fds_.insert(fd);
-    const std::int64_t session_id = next_session_id_++;
-    conn_threads_.emplace_back(
-        [this, fd, session_id] { serve_connection(fd, session_id); });
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(conn_mutex_);
+      for (const std::int64_t id : finished_conns_) {
+        const auto it = conn_threads_.find(id);
+        finished.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_conns_.clear();
+      conn_fds_.insert(fd);
+      const std::int64_t session_id = next_session_id_++;
+      conn_threads_.emplace(session_id, std::thread([this, fd, session_id] {
+                              serve_connection(fd, session_id);
+                            }));
+    }
+    // Their bodies are done; each join waits out a thread's exit only.
+    for (auto& t : finished) t.join();
   }
 }
 
@@ -511,7 +584,17 @@ void Server::serve_connection(int fd, std::int64_t session_id) {
   net::LineReader reader(fd);
   while (!stopping_.load()) {
     const auto line = reader.read_line();
-    if (!line) break;
+    if (!line) {
+      if (reader.line_too_long()) {
+        net::send_all(
+            fd, serialize_response(error_response(
+                    kErrBadRequest,
+                    "request line longer than " +
+                        std::to_string(net::kMaxLineBytes) + " bytes")) +
+                    "\n");
+      }
+      break;
+    }
     const std::string response = session.handle_line(*line) + "\n";
     if (!net::send_all(fd, response)) break;
     if (session.closed()) break;
@@ -520,6 +603,7 @@ void Server::serve_connection(int fd, std::int64_t session_id) {
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
     conn_fds_.erase(fd);
+    finished_conns_.push_back(session_id);
   }
   net::close_fd(fd);
 }

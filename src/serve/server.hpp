@@ -1,7 +1,7 @@
 // The scheduling daemon: one authoritative engine thread, many
 // sessions, a read-mostly what-if query tier.
 //
-// Architecture (ISSUE 9 / ROADMAP open item 3):
+// Architecture:
 //
 //   accept thread ──> connection threads ──> Session FSM
 //                           │ mutations                │ queries
@@ -22,6 +22,30 @@
 // handed to a thread-safe WhatIfService — so a what-if barrage cannot
 // perturb the live schedule, and scales across connections.
 //
+// Bounded history: the server switches its engine to bounded history
+// (Engine::bound_history) on construction and on RESUME, so the engine
+// keeps only running, queued and pending jobs. One epoch's publish —
+// snapshot plus the WhatIfService's validating restore — therefore
+// costs O(live state), not O(jobs ever submitted). What the verbs
+// still need of finished jobs lives in a server-side index (id,
+// submit, procs, start, end; filled by the engine observer): QUERY
+// falls back to it when the tier's snapshot does not know an id, and
+// ignores entries newer than its tier, so every answer stays
+// consistent with one epoch. KILL of a finished id and a duplicate-id
+// SUBMIT consult it too. The index is the one O(history) structure
+// left, at a few dozen bytes per job. A SNAPSHOT of the daemon carries
+// no completed-job archive: a report from a resumed daemon snapshot
+// covers only jobs that finish after it. The RESUME verb keeps the
+// index entries of jobs that terminated before the snapshot was cut
+// (counted in termination order, so it is exact for a snapshot of
+// this daemon's own run) and drops the rest. A new process seeded from
+// a daemon snapshot (swf_tool serve --resume) starts with an empty
+// index: it answers QUERY of a job finished before the snapshot with
+// not-found, accepts a SUBMIT that reuses its id, and answers its KILL
+// with not-found instead of "job already terminated". Decisions stream
+// to decisions_path as they are made instead of accumulating in
+// memory.
+//
 // Time: with time_scale == 0 (logical time, the default) the clock
 // only advances under submitted work — events up to (latest submit
 // time - 1) are processed, so every event at the newest timestamp is
@@ -30,10 +54,15 @@
 // engine dry. With time_scale > 0, one wall-clock second advances the
 // simulation time_scale seconds, whether or not submissions arrive.
 //
+// Resources: request lines are capped at net::kMaxLineBytes (longer
+// ones get ERR and the connection is closed), and connection threads
+// that have finished are joined as new connections are accepted.
+//
 // Lifecycle: SIGTERM/SIGINT (with ServerConfig::handle_signals) or
-// SHUTDOWN drain-then-stop; decisions_path and snapshot_on_shutdown
-// are written on the way out, and a snapshot written there can seed a
-// new daemon (swf_tool serve --resume) or the RESUME verb.
+// SHUTDOWN drain-then-stop; decisions_path is flushed and
+// snapshot_on_shutdown written on the way out, and a snapshot written
+// there can seed a new daemon (swf_tool serve --resume) or the RESUME
+// verb.
 #pragma once
 
 #include <atomic>
@@ -42,11 +71,13 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -68,7 +99,8 @@ struct ServerConfig {
   /// Simulated seconds per wall-clock second; 0 = logical time (the
   /// clock advances only under submitted work).
   double time_scale = 0.0;
-  /// Write the decision stream CSV here on DRAIN and on shutdown.
+  /// Stream the decision CSV here as decisions are made (truncated at
+  /// the first decision; flushed on DRAIN and on shutdown).
   std::string decisions_path;
   /// Write a resumable engine snapshot here on shutdown.
   std::string snapshot_on_shutdown;
@@ -81,7 +113,7 @@ struct ServerConfig {
   std::size_t command_queue_capacity = 1024;
 };
 
-class Server final : public ServerCore {
+class Server final : public ServerCore, private sim::SimObserver {
  public:
   /// Takes the engine to serve (built from a SimulationSpec, or
   /// restored from a snapshot). The engine must not need a job source.
@@ -105,6 +137,9 @@ class Server final : public ServerCore {
   /// Bound TCP port (after start(); 0 for Unix-socket endpoints).
   int port() const { return port_; }
   std::uint64_t epoch() const;
+  /// Connection threads not yet joined (live sessions plus finished
+  /// ones awaiting the next accept).
+  std::size_t connection_threads() const;
 
   // -- ServerCore (called from session threads) --
   Response submit(const Request& request) override;
@@ -152,6 +187,19 @@ class Server final : public ServerCore {
     std::size_t decisions = 0;
   };
 
+  /// What QUERY reports of a terminated job after its engine slot is
+  /// released.
+  struct FinishedJob {
+    std::int64_t submit = 0;
+    std::int64_t procs = 0;
+    std::int64_t start = -1;
+    std::int64_t end = -1;
+    std::uint64_t epoch = 0;  ///< first epoch whose tier may report it
+    /// Termination order (jobs_completed + jobs_dropped after it);
+    /// RESUME keeps the entries at or below the restored state's count.
+    std::int64_t ordinal = 0;
+  };
+
   /// Enqueue a mutation and wait for the engine thread's reply.
   Response submit_command(Command command);
 
@@ -168,15 +216,31 @@ class Server final : public ServerCore {
   bool advance();
   /// Re-snapshot the engine into a fresh query tier.
   void publish();
-  void write_decisions() const;
   std::shared_ptr<const Tier> tier() const;
+
+  /// Bound `engine`'s history, seed the finished index from the jobs
+  /// it released, and attach the server's observers.
+  void adopt_engine(std::unique_ptr<sim::Engine> engine);
+  /// Index a terminated job; visible from the next published epoch.
+  void remember_finished(std::int64_t id, FinishedJob entry);
+  bool is_finished(std::int64_t job_id) const;
+  // sim::SimObserver (engine thread): feed the finished index.
+  void on_job_complete(const sim::CompletedJob& job) override;
+  void on_job_drop(std::int64_t time, const sim::SimJob& job,
+                   sim::DropReason reason) override;
 
   void accept_loop(int listen_fd);
   void serve_connection(int fd, std::int64_t session_id);
 
   ServerConfig config_;
   std::unique_ptr<sim::Engine> engine_;  ///< engine thread only
-  validate::DecisionRecorder recorder_;  ///< attached to engine_
+  validate::DecisionCsvWriter decisions_;  ///< attached to engine_
+  /// Terminated jobs by id. Written by the engine thread, read by
+  /// QUERY from session threads.
+  mutable std::mutex finished_mutex_;
+  std::unordered_map<std::int64_t, FinishedJob> finished_;
+  /// Terminations so far, as the engine counts them. Engine thread only.
+  std::int64_t terminated_ = 0;
   /// Logical-time horizon: events up to this time may run (latest
   /// submit - 1, or +inf once drained). Engine thread only.
   std::int64_t horizon_ = 0;
@@ -209,9 +273,12 @@ class Server final : public ServerCore {
   int port_ = 0;
   std::thread engine_thread_;
   std::thread accept_thread_;
-  std::mutex conn_mutex_;
+  mutable std::mutex conn_mutex_;
   std::unordered_set<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  /// Connection threads by session id; ids in finished_conns_ have
+  /// left serve_connection and are joined on the next accept.
+  std::map<std::int64_t, std::thread> conn_threads_;
+  std::vector<std::int64_t> finished_conns_;
 };
 
 }  // namespace pjsb::serve

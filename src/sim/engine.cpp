@@ -159,6 +159,39 @@ void Engine::release_slot(std::int64_t id) {
   jobs_overflow_.erase(id);
 }
 
+std::vector<SimJob> Engine::bound_history() {
+  std::vector<SimJob> released;
+  for (auto it = jobs_overflow_.begin(); it != jobs_overflow_.end();) {
+    if (it->second.job.state == JobState::kFinished) {
+      released.push_back(std::move(it->second.job));
+      it = jobs_overflow_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (JobSlot& slot : jobs_dense_) {
+    if (slot.job.id == 0) continue;
+    if (slot.job.state == JobState::kFinished) {
+      released.push_back(std::move(slot.job));
+    } else {
+      jobs_overflow_.emplace(slot.job.id, std::move(slot));
+    }
+  }
+  std::vector<JobSlot>().swap(jobs_dense_);
+  std::vector<CompletedJob>().swap(completed_);
+  config_.retain_completed = false;
+  config_.recycle_slots = true;
+
+  // Late closed-loop dependents resolve released predecessors through
+  // the bounded end-time history, remembered in termination order.
+  std::sort(released.begin(), released.end(),
+            [](const SimJob& a, const SimJob& b) {
+              return a.end != b.end ? a.end < b.end : a.id < b.id;
+            });
+  for (const SimJob& j : released) record_finished(j.id, j.end);
+  return released;
+}
+
 void Engine::record_finished(std::int64_t id, std::int64_t end_time) {
   if (!config_.closed_loop) return;
   while (finished_order_.size() >= source_opts_.closed_loop_history &&
@@ -757,8 +790,9 @@ void Engine::handle_reservation_start(std::int64_t res_id) {
   if (it == reservations_.end()) return;
   const auto& res = it->second;
   if (res.job_id) {
-    auto& j = slot_at(*res.job_id).job;
-    if (j.state == JobState::kQueued) {
+    // A recycled slot means the attached job already terminated.
+    const JobSlot* slot = find_slot(*res.job_id);
+    if (slot && slot->job.state == JobState::kQueued) {
       // The scheduler blocked this window, so the allocation succeeds
       // unless an outage shrank the machine; in that case the job stays
       // queued and the scheduler starts it when capacity returns.

@@ -166,6 +166,16 @@ class Engine final : public sched::SchedulerContext {
   /// Run to exhaustion.
   void run();
 
+  /// Switch a running engine to bounded history: the state
+  /// retain_completed=false + recycle_slots=true would have produced.
+  /// Clears completed(), releases every terminated job's slot and
+  /// moves live slots into the recycle-mode map, so snapshot() and
+  /// live memory cost O(running + queued) from here on. Decisions are
+  /// unaffected. Returns the released terminated jobs, in termination
+  /// order, for callers that still answer questions about them. Like
+  /// step(), only legal between steps; idempotent.
+  std::vector<SimJob> bound_history();
+
   // -- results --
   const std::vector<CompletedJob>& completed() const { return completed_; }
   EngineStats stats() const;

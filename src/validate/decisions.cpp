@@ -17,13 +17,43 @@ std::vector<sim::Decision> replay_decisions(
   return recorder.decisions();
 }
 
+namespace {
+
+constexpr const char* kCsvHeader = "time,job,procs,virtual\n";
+
+void append_csv_row(std::string& csv, const sim::Decision& d) {
+  csv += std::to_string(d.time) + ',' + std::to_string(d.job_id) + ',' +
+         std::to_string(d.procs) + ',' + (d.virtual_start ? '1' : '0');
+  csv += '\n';
+}
+
+}  // namespace
+
+void DecisionCsvWriter::open() {
+  if (opened_ || path_.empty()) return;
+  opened_ = true;
+  out_.open(path_, std::ios::binary | std::ios::trunc);
+  out_ << kCsvHeader;
+}
+
+void DecisionCsvWriter::on_decision(const sim::Decision& decision) {
+  ++count_;
+  open();
+  if (!out_.is_open()) return;
+  std::string row;
+  append_csv_row(row, decision);
+  out_ << row;
+}
+
+bool DecisionCsvWriter::flush() {
+  open();
+  out_.flush();
+  return path_.empty() || bool(out_);
+}
+
 std::string decisions_to_csv(const std::vector<sim::Decision>& decisions) {
-  std::string csv = "time,job,procs,virtual\n";
-  for (const auto& d : decisions) {
-    csv += std::to_string(d.time) + ',' + std::to_string(d.job_id) + ',' +
-           std::to_string(d.procs) + ',' + (d.virtual_start ? '1' : '0');
-    csv += '\n';
-  }
+  std::string csv = kCsvHeader;
+  for (const auto& d : decisions) append_csv_row(csv, d);
   return csv;
 }
 

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/swf/trace.hpp"
@@ -28,6 +30,33 @@ class DecisionRecorder final : public sim::SimObserver {
 
  private:
   std::vector<sim::Decision> decisions_;
+};
+
+/// Streams every decision to a CSV file as it is made — the exact
+/// bytes decisions_to_csv() gives for the whole stream — so a
+/// long-running producer (the serve daemon) holds no decision history.
+/// The file is truncated and the header written at the first decision
+/// or flush(), not on construction (which does no I/O); rows are
+/// buffered until flush() or destruction.
+class DecisionCsvWriter final : public sim::SimObserver {
+ public:
+  /// Empty `path` (or one that cannot be opened): count only.
+  explicit DecisionCsvWriter(std::string path) : path_(std::move(path)) {}
+
+  void on_decision(const sim::Decision& decision) override;
+  /// Push buffered rows (at least the header) to the file. False when
+  /// the file could not be opened or written.
+  bool flush();
+  /// Decisions seen so far (written or not).
+  std::size_t count() const { return count_; }
+
+ private:
+  void open();
+
+  std::string path_;
+  std::ofstream out_;
+  bool opened_ = false;
+  std::size_t count_ = 0;
 };
 
 /// Replay `trace` under `scheduler_spec` (open loop, no outages) and

@@ -129,4 +129,35 @@ struct ParserFuzzReport {
 
 ParserFuzzReport run_parser_fuzzer(const ParserFuzzOptions& options = {});
 
+// ---------------------------------------------------------------------
+// Protocol/session fuzzing (`swf_tool fuzz protocol`): seeded request
+// lines — well-formed ones, mutations of them, and raw junk — through
+// serve::parse_request / serialize_request and a serve::Session over a
+// mock ServerCore that answers with random verdicts and is sometimes
+// drained behind the session's back. Every line asserts: nothing
+// throws; a parsed request re-serializes to a fixpoint that parses
+// back to the same request; the reply is one well-formed response
+// line that parses and re-serializes unchanged; the FSM moves only
+// along the legal transitions of serve/session.hpp; and the core sees
+// no verb before the handshake and no mutation once draining.
+
+struct ProtocolFuzzOptions {
+  std::uint64_t seed = 1;
+  /// Sessions to generate; each gets a fresh FSM and mock core.
+  int cases = 200;
+};
+
+struct ProtocolFuzzReport {
+  int cases = 0;
+  std::int64_t lines = 0;
+  std::size_t failure_count = 0;
+  std::vector<std::string> failures;  ///< the first 16
+
+  bool clean() const { return failure_count == 0; }
+  std::string summary() const;
+};
+
+ProtocolFuzzReport run_protocol_fuzzer(
+    const ProtocolFuzzOptions& options = {});
+
 }  // namespace pjsb::validate

@@ -332,5 +332,33 @@ TEST(Engine, OversizedJobClampedToMachine) {
   EXPECT_EQ(result.completed[0].procs, 4);
 }
 
+TEST(Engine, ReservationOfARecycledJobIsSkipped) {
+  // The job a reservation would start is cancelled first; with slot
+  // recycling its slot is gone by the time the window opens.
+  EngineConfig cfg;
+  cfg.nodes = 4;
+  cfg.retain_completed = false;
+  cfg.recycle_slots = true;
+  Engine engine(cfg, sched::make_scheduler("conservative"));
+  SimJob blocker;
+  blocker.procs = 4;
+  blocker.runtime = blocker.estimate = 1000;
+  engine.submit_job(blocker);
+  SimJob waiting = blocker;
+  waiting.submit = 1;
+  const std::int64_t id = engine.submit_job(waiting);
+  sched::AdvanceReservation res;
+  res.start = 5000;
+  res.duration = 100;
+  res.procs = 4;
+  res.job_id = id;
+  ASSERT_TRUE(engine.request_reservation(res));
+  engine.run_until(10);
+  ASSERT_TRUE(engine.cancel_job(id));
+  EXPECT_NO_THROW(engine.run());
+  EXPECT_EQ(engine.stats().jobs_completed, 1);
+  EXPECT_EQ(engine.stats().jobs_dropped, 1);
+}
+
 }  // namespace
 }  // namespace pjsb::sim

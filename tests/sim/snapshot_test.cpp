@@ -117,6 +117,84 @@ TEST(Snapshot, ResumeIsByteIdenticalForEveryRegistrySpec) {
   }
 }
 
+/// Bound the history at `bound_at`, keep stepping, snapshot at
+/// `cut`, restore, finish on the clone; returns the combined CSV.
+std::string bounded_csv(const swf::Trace& trace, const SimulationSpec& spec,
+                        std::int64_t bound_at, std::int64_t cut) {
+  auto donor = make_engine(trace, spec);
+  validate::DecisionRecorder prefix;
+  donor->add_observer(prefix);
+  donor->load_trace(trace);
+  const auto step_through = [&](std::int64_t t_max) {
+    while (true) {
+      const auto t = donor->next_event_time();
+      if (!t || *t > t_max) break;
+      donor->step();
+    }
+  };
+  step_through(bound_at);
+  const std::int64_t completed = donor->stats().jobs_completed;
+  const auto released = donor->bound_history();
+  EXPECT_TRUE(donor->completed().empty());
+  EXPECT_GE(std::int64_t(released.size()), completed);
+  for (const auto& job : released) {
+    EXPECT_EQ(job.state, JobState::kFinished);
+    EXPECT_EQ(donor->find_job(job.id), nullptr);
+  }
+  step_through(cut);
+
+  const std::string bytes = donor->snapshot();
+  auto clone = Engine::restore(bytes);
+  EXPECT_EQ(clone->snapshot(), bytes)
+      << spec.scheduler << ": bounded snapshot not canonical at t=" << cut;
+  validate::DecisionRecorder suffix;
+  clone->add_observer(suffix);
+  clone->run();
+  EXPECT_TRUE(clone->completed().empty());
+
+  auto all = prefix.decisions();
+  all.insert(all.end(), suffix.decisions().begin(),
+             suffix.decisions().end());
+  return validate::decisions_to_csv(all);
+}
+
+TEST(Snapshot, BoundHistoryMidRunKeepsEveryDecision) {
+  // Switching a retain-history run to bounded history mid-flight, then
+  // snapshotting and resuming the bounded engine, must reproduce the
+  // uninterrupted retain-history decision trace byte for byte.
+  const auto trace = validate::fuzz_workload(kSeed + 4, kJobs, kNodes);
+  const auto specs =
+      validate::enumerate_scheduler_specs(sched::Registry::global());
+  const std::int64_t horizon = trace.horizon();
+  for (const auto& spec_str : specs) {
+    for (const bool faults : {false, true}) {
+      auto spec = SimulationSpec{}.with_scheduler(spec_str);
+      if (faults) spec = crashy(spec);
+      const auto golden = uninterrupted_csv(trace, spec);
+      const auto bounded = bounded_csv(trace, spec, horizon / 3,
+                                       2 * horizon / 3);
+      EXPECT_EQ(validate::diff_decision_csv(golden, bounded), "")
+          << spec_str << (faults ? " +faults" : "")
+          << " diverges after bound_history()";
+    }
+  }
+}
+
+TEST(Snapshot, BoundedSnapshotHoldsOnlyLiveJobs) {
+  const auto trace = validate::fuzz_workload(kSeed + 5, 400, kNodes);
+  const auto spec = SimulationSpec{}.with_scheduler("conservative");
+  auto engine = make_engine(trace, spec);
+  engine->load_trace(trace);
+  engine->run_until(trace.horizon() / 2);
+  const auto full = engine->snapshot().size();
+  engine->bound_history();
+  const auto bounded = engine->snapshot().size();
+  EXPECT_LT(bounded, full);
+  // A second call finds nothing left to release.
+  EXPECT_TRUE(engine->bound_history().empty());
+  EXPECT_EQ(engine->snapshot().size(), bounded);
+}
+
 TEST(Snapshot, RoundTripsThroughTheFileCodec) {
   const auto trace = validate::fuzz_workload(kSeed + 1, 60, kNodes);
   const auto spec = SimulationSpec{}.with_scheduler("easy");
