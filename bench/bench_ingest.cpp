@@ -1,16 +1,16 @@
-// PR10 — GB/s SWF ingest.
+// SWF ingest throughput.
 //
-// Measures the full ingest pipeline against the legacy implementations
-// on one generated on-disk trace:
-//   * legacy parse: the istream-based read_swf_file, the pre-PR10 rate;
-//   * fast parse: the mmap'd chunk-parallel FastReader at 1/2/8
-//     threads, with records/header/errors compared against the legacy
-//     result (the records_identical bit gates in CI — a fast parser
-//     that disagrees with the oracle scores zero);
-//   * stream drain: swf::StreamReader, whose line scanner is now the
-//     same fast scanner, drained record by record in O(1) memory;
+// Measures the ingest pipeline on one generated on-disk trace:
+//   * legacy parse: validate::reference_read_swf_file, the getline
+//     reader kept as the test oracle — the baseline rate;
+//   * fast parse: swf::read_swf_file, the mmap'd single-pass scanner
+//     every in-memory replay uses, with records/header/errors compared
+//     against the oracle (the records_identical bit gates in CI — a
+//     reader that disagrees with the oracle scores zero);
+//   * stream drain: swf::StreamReader on the same line scanner,
+//     drained record by record in O(1) memory;
 //   * write: the buffered to_chars emitter vs the ostream formatting
-//     the writer used before PR10 (reproduced here as the baseline).
+//     the writer used before it (reproduced here as the baseline).
 //
 // The headline gate metrics are fast_parse.speedup_vs_legacy (>= 5x)
 // and fast_parse.records_identical (== 1). Default sizes: 1M jobs
@@ -22,19 +22,19 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "core/swf/fast_reader.hpp"
+#include "core/swf/reader.hpp"
 #include "core/swf/stream_reader.hpp"
 #include "core/swf/writer.hpp"
+#include "validate/reference_reader.hpp"
 #include "workload/stream.hpp"
 
 namespace {
 
 using namespace pjsb;
-
-constexpr int kThreadCounts[] = {1, 2, 8};
 
 int fail(const std::string& message) {
   std::cerr << "bench_ingest: " << message << '\n';
@@ -81,9 +81,19 @@ int main(int argc, char** argv) {
   const int reps = options.quick ? 5 : 3;
 
   bench::print_header(
-      "PR10: GB/s SWF ingest",
-      "The mmap'd chunk-parallel parser sustains >= 5x the legacy parse "
+      "SWF ingest",
+      "The mmap'd single-pass reader sustains >= 5x the reference parse "
       "rate while staying byte-identical on records, header and errors.");
+  const unsigned cores = std::thread::hardware_concurrency();
+  const std::string compiler =
+#if defined(__clang__)
+      std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+      std::string("gcc ") + __VERSION__;
+#else
+      "unknown";
+#endif
+  std::cout << "host: " << cores << " cores, " << compiler << "\n";
 
   // One on-disk trace, streamed to /tmp in constant memory.
   const std::string dir =
@@ -117,44 +127,31 @@ int main(int argc, char** argv) {
   bench::JsonReporter json("bench_ingest");
   util::Table table({"path", "MB/s", "speedup", "identical"});
 
-  // Legacy parse baseline.
+  // Reference (oracle) parse baseline.
   swf::ReadResult legacy;
-  const double legacy_s =
-      best_seconds(reps, [&] { legacy = swf::read_swf_file(path); });
+  const double legacy_s = best_seconds(
+      reps, [&] { legacy = validate::reference_read_swf_file(path); });
   if (!legacy.ok()) return fail("legacy parse reported errors");
   const double legacy_rate = mb_per_s(bytes, legacy_s);
   json.add("legacy_parse", "mb_per_s", legacy_rate, "MB/s");
-  table.row().cell("legacy read_swf_file").cell(legacy_rate, 1).cell("-").cell(
+  table.row().cell("reference reader").cell(legacy_rate, 1).cell("-").cell(
       "-");
 
-  // Fast parse at each thread count; identical means identical at
-  // EVERY thread count, not just the fastest.
-  double best_rate = 0.0;
-  bool all_identical = true;
-  for (const int threads : kThreadCounts) {
-    swf::FastReaderOptions fast_options;
-    fast_options.threads = threads;
-    swf::ReadResult fast;
-    const double seconds = best_seconds(
-        reps, [&] { fast = swf::fast_read_swf_file(path, fast_options); });
-    const bool identical = same_parse(fast, legacy);
-    all_identical = all_identical && identical;
-    const double rate = mb_per_s(bytes, seconds);
-    best_rate = std::max(best_rate, rate);
-    const std::string name = "fast_parse_t" + std::to_string(threads);
-    json.add(name, "mb_per_s", rate, "MB/s");
-    json.add(name, "records_identical", identical ? 1.0 : 0.0, "bool");
-    table.row()
-        .cell("fast threads=" + std::to_string(threads))
-        .cell(rate, 1)
-        .cell(rate / legacy_rate, 2)
-        .cell(identical ? "yes" : "NO");
-  }
-  json.add("fast_parse", "mb_per_s", best_rate, "MB/s");
-  json.add("fast_parse", "speedup_vs_legacy", best_rate / legacy_rate,
+  // The production reader.
+  swf::ReadResult fast;
+  const double fast_s =
+      best_seconds(reps, [&] { fast = swf::read_swf_file(path); });
+  const bool identical = same_parse(fast, legacy);
+  const double fast_rate = mb_per_s(bytes, fast_s);
+  json.add("fast_parse", "mb_per_s", fast_rate, "MB/s");
+  json.add("fast_parse", "speedup_vs_legacy", fast_rate / legacy_rate,
            "ratio");
-  json.add("fast_parse", "records_identical", all_identical ? 1.0 : 0.0,
-           "bool");
+  json.add("fast_parse", "records_identical", identical ? 1.0 : 0.0, "bool");
+  table.row()
+      .cell("read_swf_file")
+      .cell(fast_rate, 1)
+      .cell(fast_rate / legacy_rate, 2)
+      .cell(identical ? "yes" : "NO");
 
   // StreamReader drain: the O(1)-memory path on the shared scanner.
   {
@@ -181,7 +178,7 @@ int main(int argc, char** argv) {
   // Write: buffered to_chars emitter vs the old ostream formatting.
   {
     std::string rendered;
-    const double fast_s = best_seconds(
+    const double write_s = best_seconds(
         reps, [&] { rendered = swf::write_swf_string(legacy.trace); });
 
     std::string old_rendered;
@@ -192,27 +189,30 @@ int main(int argc, char** argv) {
     });
     if (rendered != old_rendered) return fail("writer output changed");
 
-    const double fast_rate = mb_per_s(rendered.size(), fast_s);
+    const double write_rate = mb_per_s(rendered.size(), write_s);
     const double old_rate = mb_per_s(old_rendered.size(), old_s);
-    json.add("write", "mb_per_s", fast_rate, "MB/s");
+    json.add("write", "mb_per_s", write_rate, "MB/s");
     json.add("legacy_write", "mb_per_s", old_rate, "MB/s");
-    json.add("write", "speedup_vs_legacy", fast_rate / old_rate, "ratio");
+    json.add("write", "speedup_vs_legacy", write_rate / old_rate, "ratio");
     table.row()
         .cell("write (buffered)")
-        .cell(fast_rate, 1)
-        .cell(fast_rate / old_rate, 2)
+        .cell(write_rate, 1)
+        .cell(write_rate / old_rate, 2)
         .cell(rendered == old_rendered ? "yes" : "NO");
   }
 
   std::cout << table.to_string() << '\n'
-            << "fast parse best: " << best_rate << " MB/s ("
-            << best_rate / legacy_rate << "x legacy), records identical: "
-            << (all_identical ? "yes" : "NO") << '\n';
+            << "fast parse: " << fast_rate << " MB/s ("
+            << fast_rate / legacy_rate << "x legacy), records identical: "
+            << (identical ? "yes" : "NO") << '\n';
   json.add_table("ingest", table);
+  util::Table host({"cores", "compiler"});
+  host.row().cell(std::to_string(cores)).cell(compiler);
+  json.add_table("host", host);
   if (!json.write(options.json_path)) return 1;
 
   if (std::system(("rm -rf " + dir).c_str()) != 0) {
     std::cerr << "bench_ingest: could not remove " << dir << '\n';
   }
-  return all_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

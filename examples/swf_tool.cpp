@@ -13,8 +13,9 @@
 //                                    invariant checkers attached
 //   fuzz parse [seed] [cases]        differential parser fuzzing:
 //                                    seeded byte-level mutations through
-//                                    the legacy and fast SWF parsers,
-//                                    asserting identical verdicts
+//                                    the reference and production SWF
+//                                    readers, asserting identical
+//                                    verdicts
 //   fuzz protocol [seed] [cases]     daemon protocol/session fuzzing:
 //                                    seeded request lines through the
 //                                    wire codec and the session FSM,
@@ -62,9 +63,6 @@
 //   --timeseries <path>   sim-time machine/queue time-series CSV
 //   --sample-every <s>    time-series cadence in sim-seconds
 //   --profile <path>      Chrome trace-event JSON (opens in Perfetto)
-// plus ingest flags (README "Ingest pipeline"):
-//   --parser stream|fast  trace parser backend (default stream)
-//   --threads <n>         fast-parser worker threads (needs --parser fast)
 // plus fault-injection & recovery flags (README "Failure & recovery"):
 //   --faults <seed>       seeded per-node crash schedule (0 disables)
 //   --mtbf <s> --repair <s>          crash-schedule distributions
@@ -154,7 +152,6 @@ int usage() {
       "catalogue)\n"
       "sink-flags (all opt-in): --trace <path> --timeseries <path>\n"
       "  --sample-every <sim-seconds> --profile <path>\n"
-      "ingest-flags: --parser stream|fast --threads <n>\n"
       "fault-flags (simulate/validate; see README \"Failure & "
       "recovery\"):\n"
       "  --faults <seed> --mtbf <s> --repair <s> --checkpoint <s>\n"
@@ -165,11 +162,9 @@ int usage() {
 
 /// Load a trace or exit. Malformed records are fatal — each is reported
 /// as `path:line: message` and the tool exits 1, rather than silently
-/// running the experiment on a shrunken workload. The spec's parser=/
-/// threads= keys select the backend (identical records either way).
-swf::Trace load_or_die(const std::string& path,
-                       const sim::SimulationSpec& spec = {}) {
-  auto result = sim::load_trace(path, spec);
+/// running the experiment on a shrunken workload.
+swf::Trace load_or_die(const std::string& path) {
+  auto result = swf::read_swf_file(path);
   if (!result.errors.empty()) {
     for (const auto& e : result.errors) {
       std::cerr << path << ":" << e.line << ": " << e.message << "\n";
@@ -212,18 +207,12 @@ struct RunFlags {
   std::optional<sim::fault::OverrunPolicy> overrun;
   std::int64_t grace = 0;
 
-  // Ingest knobs (README "Ingest pipeline").
-  std::string parser = "stream";
-  int threads = 1;
-
   /// --bless (golden-mode validate only; valueless).
   bool bless = false;
 
   bool any_faults() const { return faults != 0; }
 
   void apply(sim::SimulationSpec& spec) const {
-    spec.parser = parser;
-    spec.threads = threads;
     if (!trace.empty()) spec.with_trace(trace);
     if (!timeseries.empty()) spec.with_timeseries(timeseries, sample_every);
     if (!profile.empty()) spec.with_profile(profile);
@@ -272,20 +261,7 @@ bool parse_run_flags(int argc, char** argv, int first, RunFlags& out) {
       return false;
     }
     const std::string value = argv[++i];
-    if (flag == "--parser") {
-      if (value != "stream" && value != "fast") {
-        std::cerr << "--parser must be stream or fast\n";
-        return false;
-      }
-      out.parser = value;
-    } else if (flag == "--threads") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1 || *n > 256) {
-        std::cerr << "--threads must be in [1, 256]\n";
-        return false;
-      }
-      out.threads = int(*n);
-    } else if (flag == "--trace") {
+    if (flag == "--trace") {
       out.trace = value;
     } else if (flag == "--timeseries") {
       out.timeseries = value;
@@ -357,7 +333,7 @@ int cmd_validate_golden(const std::string& path,
   sim::SimulationSpec spec;
   spec.scheduler = scheduler;
   flags.apply(spec);
-  const auto trace = load_or_die(path, spec);
+  const auto trace = load_or_die(path);
   const std::int64_t nodes =
       trace.header.max_nodes.value_or(sim::kDefaultNodes);
 
@@ -546,30 +522,29 @@ int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
                  "up front; use simulate for fault injection\n";
     return 2;
   }
-  // Constant memory (with --parser fast: O(file), GB/s): per-job
-  // records are not retained; the metrics the report needs are
-  // accumulated online by an attached observer.
+  // Constant memory: per-job records are not retained; the metrics the
+  // report needs are accumulated online by an attached observer.
   auto spec = sim::SimulationSpec{}
                   .with_scheduler(scheduler)
                   .with_lookahead(lookahead)
                   .streaming_memory();
   flags.apply(spec);
-  const auto source = sim::open_trace_source(path, spec);
-  if (source->open_failed()) {
+  swf::StreamReader source(path);
+  if (source.open_failed()) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
 
   metrics::OnlineMetricsObserver online;
   const auto result =
-      sim::replay(*source, spec, sim::ReplayHooks{}.observe(online));
+      sim::replay(source, spec, sim::ReplayHooks{}.observe(online));
 
   // Malformed lines surface after the replay, exactly like load_or_die.
-  if (source->error_count() > 0) {
-    for (const auto& e : source->errors()) {
+  if (source.error_count() > 0) {
+    for (const auto& e : source.errors()) {
       std::cerr << path << ":" << e.line << ": " << e.message << "\n";
     }
-    std::cerr << "error: " << source->error_count()
+    std::cerr << "error: " << source.error_count()
               << " malformed line(s) in " << path << "\n";
     return 1;
   }
@@ -600,7 +575,7 @@ int cmd_simulate(const std::string& path, const std::string& scheduler,
   }
   auto spec = sim::SimulationSpec{}.with_scheduler(scheduler);
   flags.apply(spec);
-  const auto trace = load_or_die(path, spec);
+  const auto trace = load_or_die(path);
   const auto result = sim::replay(trace, spec);
   const auto report = metrics::compute_report(result.completed,
                                               result.stats);

@@ -2,11 +2,18 @@
 // text file ... all data is in integers" — the reader enforces exactly
 // that, producing a diagnostic (not a crash, not a silent coercion) for
 // every malformed line.
+//
+// One grammar, two entry points: read_swf_file/read_swf_string map the
+// whole input and parse it in a single fused pass (O(file) memory);
+// StreamReader (stream_reader.hpp) pulls one line at a time through
+// scan_swf_line in O(1) memory. Both fast paths accept only lines made
+// of plain decimal fields and hand anything unusual to
+// parse_record_line, which owns every verdict and every diagnostic.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/swf/trace.hpp"
@@ -39,20 +46,36 @@ struct ReaderOptions {
 };
 
 /// Parse one 18-field record line (no comments, already trimmed).
-/// Returns an error message, or an empty string on success. Shared by
-/// the in-memory reader and the streaming reader so both enforce the
-/// exact same grammar.
+/// Returns an error message, or an empty string on success. This is
+/// the grammar's authority: every scanner defers to it for any line it
+/// does not recognize, so accept/reject verdicts and messages agree.
 std::string parse_record_line(std::string_view line, bool allow_extra,
                               JobRecord& out);
 
-/// Parse an SWF stream.
-ReadResult read_swf(std::istream& in, const ReaderOptions& options = {});
+/// What one physical line turned out to be.
+enum class LineKind { kBlank, kComment, kRecord, kError };
 
-/// Parse an SWF string (convenience for tests and converters).
+struct LineScan {
+  LineKind kind = LineKind::kBlank;
+  /// kComment: body after the ';' (view into the input line).
+  std::string_view comment;
+  /// kError: diagnostic, byte-identical to parse_record_line's.
+  std::string error;
+};
+
+/// Classify and parse one physical line (newline already stripped, not
+/// yet trimmed). The common all-digits case is a single pass over the
+/// bytes; anything else falls back to parse_record_line.
+LineScan scan_swf_line(std::string_view raw, bool allow_extra,
+                       JobRecord& out);
+
+/// Parse an SWF document held in memory: every record (partials
+/// included), every diagnostic.
 ReadResult read_swf_string(const std::string& text,
                            const ReaderOptions& options = {});
 
-/// Parse a file from disk; adds a synthetic error if it cannot be opened.
+/// Map and parse a file from disk (pipes fall back to a read() slurp);
+/// adds a line-0 error if it cannot be opened.
 ReadResult read_swf_file(const std::string& path,
                          const ReaderOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "core/swf/fast_reader.hpp"
 #include "util/string_util.hpp"
 
 namespace pjsb::swf {

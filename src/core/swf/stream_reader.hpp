@@ -2,9 +2,10 @@
 //
 // The in-memory reader (reader.hpp) materializes the whole trace before
 // anything can run, so trace size — not simulator speed — becomes the
-// scale ceiling. StreamReader parses the same grammar (it shares
-// parse_record_line with read_swf) but holds only one I/O chunk and one
-// record at a time, so a multi-GB archive log replays in O(1) memory.
+// scale ceiling. StreamReader parses the same grammar (every line goes
+// through scan_swf_line, as in read_swf_file) but holds only one I/O
+// chunk and one record at a time, so a multi-GB archive log replays in
+// O(1) memory.
 //
 // Layout handled:
 //   * header comment block (`;Label: Value`), parsed eagerly at
@@ -36,7 +37,6 @@
 
 #include "core/swf/job_source.hpp"
 #include "core/swf/reader.hpp"
-#include "core/swf/trace_reader.hpp"
 
 namespace pjsb::swf {
 
@@ -57,7 +57,7 @@ struct StreamReaderOptions {
   std::size_t prefetch_depth = 4;
 };
 
-class StreamReader final : public TraceReader {
+class StreamReader final : public JobSource {
  public:
   /// Open a file. Failure to open is not a throw: the source is empty,
   /// ok() is false and errors() holds a line-0 diagnostic, mirroring
@@ -77,17 +77,17 @@ class StreamReader final : public TraceReader {
   std::string label() const override { return label_; }
 
   /// True while the stream opened and no parse error has surfaced.
-  bool ok() const override { return !open_failed_ && error_count_ == 0; }
-  bool open_failed() const override { return open_failed_; }
+  bool ok() const { return !open_failed_ && error_count_ == 0; }
+  bool open_failed() const { return open_failed_; }
   /// First max_stored_errors diagnostics, in line order.
-  const std::vector<ParseError>& errors() const override { return errors_; }
+  const std::vector<ParseError>& errors() const { return errors_; }
   /// Exact total, including diagnostics beyond the storage bound.
-  std::size_t error_count() const override { return error_count_; }
-  std::size_t records_returned() const override { return records_returned_; }
+  std::size_t error_count() const { return error_count_; }
+  std::size_t records_returned() const { return records_returned_; }
   /// Checkpoint/partial (status 2-4) lines skipped.
-  std::size_t partials_skipped() const override { return partials_skipped_; }
+  std::size_t partials_skipped() const { return partials_skipped_; }
   /// Physical lines consumed so far.
-  std::size_t lines_read() const override { return line_no_; }
+  std::size_t lines_read() const { return line_no_; }
 
  private:
   /// One parsed unit handed from the producer side to the consumer.

@@ -46,11 +46,6 @@ struct WorkloadSpec {
   bool stream = false;
   /// Ingestion window for streaming cells (records pulled ahead).
   std::size_t lookahead = 4096;
-  /// Trace-file ingestion backend: "stream" (constant-memory
-  /// StreamReader) or "fast" (mmap'd chunk-parallel FastReader).
-  std::string parser = "stream";
-  /// FastReader worker threads (parser=fast only).
-  int threads = 1;
 };
 
 /// One entry on the engine-configuration axis.
@@ -160,8 +155,7 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 ///   nodes = 128
 ///
 /// Workload options: `jobs=N`, `load=F`, `label=S`, `stream=0|1`,
-/// `lookahead=N` (streaming ingestion window), `parser=stream|fast` and
-/// `threads=N` (trace-file ingestion backend). Config flags are
+/// `lookahead=N` (streaming ingestion window). Config flags are
 /// '+'-separated: `open` (default), `closed`, `outages`, `blind`
 /// (outages not announced in advance), `faults` (seeded crash
 /// schedule), plus valued tokens `mtbf:N`, `repair:N`, `checkpoint:N`,

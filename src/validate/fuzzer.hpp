@@ -102,18 +102,17 @@ FuzzReport run_fuzzer(const FuzzOptions& options = {});
 // Differential parser fuzzing (`swf_tool fuzz parse`): seeded byte-
 // level mutations of generated traces — bit flips, field splices, huge
 // tokens, NUL/UTF-8 junk, CRLF conversion, truncation, empty and
-// comment-only files — fed through the legacy readers and the fast
-// parser at several thread counts and adversarial chunk sizes. Every
-// case asserts identical records, header fields, accept/reject
-// verdicts, error lines/messages and bounded error storage; any
-// divergence or exception is a failure carrying its case seed.
+// comment-only files — fed through the reference reader (the oracle),
+// swf::read_swf_string and swf::StreamReader under every strict x
+// allow_extra_fields pairing. Every case asserts identical records,
+// header fields, accept/reject verdicts, error lines/messages and
+// bounded error storage; any divergence or exception is a failure
+// carrying its case seed.
 
 struct ParserFuzzOptions {
   std::uint64_t seed = 1;
   /// Mutated inputs to generate and cross-check.
   int cases = 200;
-  /// FastReader thread counts exercised per case.
-  std::vector<int> thread_counts = {1, 2, 8};
   /// Failures stored verbatim; the count stays exact.
   std::size_t max_failures = 16;
 };

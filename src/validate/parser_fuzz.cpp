@@ -1,7 +1,7 @@
-// Differential parser fuzzer: the legacy SWF readers are the oracle,
-// the fast parser must agree byte-for-byte on records, header fields,
-// verdicts and diagnostics — for every mutation, thread count and
-// chunk size.
+// Differential parser fuzzer: the reference reader is the oracle;
+// swf::read_swf_string and a drained swf::StreamReader must agree with
+// it byte-for-byte on records, header fields, verdicts and diagnostics
+// for every mutation under every strict x allow_extra_fields pairing.
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "core/swf/fast_reader.hpp"
 #include "core/swf/reader.hpp"
 #include "core/swf/stream_reader.hpp"
 #include "core/swf/writer.hpp"
 #include "util/rng.hpp"
 #include "validate/fuzzer.hpp"
+#include "validate/reference_reader.hpp"
 
 namespace pjsb::validate {
 
@@ -23,7 +23,7 @@ namespace {
 
 /// Junk spliced into record lines: non-integers, overflow shapes,
 /// signs, floats, NUL and UTF-8 bytes — each must produce the same
-/// verdict from both parsers.
+/// verdict from every reader.
 const char* const kSpliceTokens[] = {
     "-",       "--3",       "abc",  "1e5",
     "0x10",    "99999999999999999999",
@@ -113,10 +113,13 @@ void mutate(std::string& text, util::Rng& rng) {
         break;
       }
       case 6: {  // insert a comment / blank / junk line mid-file
-        const char* lines[] = {";mid comment\n", "\n", "   \t  \n",
-                               "1 2 3\n", "; \n", "\v\f\n"};
-        const auto pos =
-            std::size_t(rng.uniform_int(0, std::int64_t(text.size())));
+        const char* lines[] = {";mid comment\n", ";MaxNodes: 7\n", "\n",
+                               "   \t  \n", "1 2 3\n", "; \n", "\v\f\n"};
+        // Snap to the start of the next line so the insert is a whole
+        // line (token splices already cover mid-line junk).
+        auto pos = text.find(
+            '\n', std::size_t(rng.uniform_int(0, std::int64_t(text.size()))));
+        pos = pos == std::string::npos ? text.size() : pos + 1;
         text.insert(pos, lines[std::size_t(rng.uniform_int(
                              0, std::int64_t(std::size(lines)) - 1))]);
         break;
@@ -149,108 +152,103 @@ std::string describe(const swf::ParseError& e) {
   return std::to_string(e.line) + ": " + e.message;
 }
 
-/// Drain a reader; returns the records in order.
-std::vector<swf::JobRecord> drain(swf::TraceReader& reader) {
-  std::vector<swf::JobRecord> records;
-  while (auto r = reader.next()) records.push_back(*r);
-  return records;
-}
-
 struct CaseFailure {
   bool failed = false;
   std::string detail;
 };
 
-/// Run one mutated input through every parser and cross-check.
+/// Physical lines in `text`: every '\n', plus an unterminated tail.
+std::size_t physical_lines(const std::string& text) {
+  const auto n = std::size_t(std::count(text.begin(), text.end(), '\n'));
+  return n + (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
+/// Run one mutated input through every reader and cross-check.
 CaseFailure check_case(const std::string& text, bool strict,
-                       bool allow_extra, std::size_t chunk_bytes,
-                       const std::vector<int>& thread_counts) {
+                       bool allow_extra) {
   auto fail = [](std::string detail) {
     return CaseFailure{true, std::move(detail)};
   };
+  const std::string tag = std::string(" [") + (strict ? "strict" : "lenient") +
+                          (allow_extra ? " allow_extra" : "") + "]";
 
-  // Oracle 1: the in-memory Reader (all records, unbounded errors).
-  swf::ReaderOptions legacy_options;
-  legacy_options.strict = strict;
-  legacy_options.allow_extra_fields = allow_extra;
-  const auto legacy = swf::read_swf_string(text, legacy_options);
+  swf::ReaderOptions options;
+  options.strict = strict;
+  options.allow_extra_fields = allow_extra;
+  const auto oracle = reference_read_swf_string(text, options);
 
-  // Oracle 2: the StreamReader (summaries, bounded errors), drained.
+  // The batch reader: everything must match, including partial-
+  // execution records and the unbounded error list.
+  const auto batch = swf::read_swf_string(text, options);
+  if (batch.trace.records != oracle.trace.records) {
+    return fail("read_swf_string records diverge from the oracle" + tag);
+  }
+  if (!(batch.trace.header == oracle.trace.header)) {
+    return fail("read_swf_string header diverges from the oracle" + tag);
+  }
+  if (batch.errors.size() != oracle.errors.size()) {
+    return fail("read_swf_string error count " +
+                std::to_string(batch.errors.size()) + " != oracle " +
+                std::to_string(oracle.errors.size()) + tag);
+  }
+  for (std::size_t i = 0; i < batch.errors.size(); ++i) {
+    if (!(batch.errors[i] == oracle.errors[i])) {
+      return fail("read_swf_string error " + describe(batch.errors[i]) +
+                  " != oracle " + describe(oracle.errors[i]) + tag);
+    }
+  }
+
+  // The StreamReader yields summaries only and bounds its error
+  // storage; after a full drain its counters must match the oracle's.
   swf::StreamReaderOptions stream_options;
   stream_options.strict = strict;
   stream_options.allow_extra_fields = allow_extra;
-  auto stream = std::make_unique<swf::StreamReader>(
-      std::make_unique<std::istringstream>(text), "fuzz", stream_options);
-  const auto stream_records = drain(*stream);
-
-  for (const int threads : thread_counts) {
-    swf::FastReaderOptions fast_options;
-    fast_options.strict = strict;
-    fast_options.allow_extra_fields = allow_extra;
-    fast_options.threads = threads;
-    fast_options.chunk_bytes = chunk_bytes;
-    const std::string tag =
-        " [threads=" + std::to_string(threads) +
-        " chunk=" + std::to_string(chunk_bytes) +
-        (strict ? " strict" : "") + (allow_extra ? " allow_extra" : "") +
-        "]";
-
-    // Batch facade vs Reader: everything must match, including
-    // partial-execution records and the unbounded error list.
-    const auto fast = swf::fast_read_swf_string(text, fast_options);
-    if (fast.trace.records != legacy.trace.records) {
-      return fail("batch records diverge from Reader" + tag);
-    }
-    if (!(fast.trace.header == legacy.trace.header)) {
-      return fail("batch header diverges from Reader" + tag);
-    }
-    if (fast.errors.size() != legacy.errors.size()) {
-      return fail("batch error count " + std::to_string(fast.errors.size()) +
-                  " != Reader " + std::to_string(legacy.errors.size()) + tag);
-    }
-    for (std::size_t i = 0; i < fast.errors.size(); ++i) {
-      if (!(fast.errors[i] == legacy.errors[i])) {
-        return fail("batch error " + describe(fast.errors[i]) +
-                    " != Reader " + describe(legacy.errors[i]) + tag);
-      }
-    }
-
-    // JobSource facade vs StreamReader: summaries, counters and the
-    // bounded error storage must agree after a full drain.
-    swf::FastReader reader(text, "fuzz", fast_options);
-    const auto fast_records = drain(reader);
-    if (fast_records != stream_records) {
-      return fail("streamed records diverge from StreamReader" + tag);
-    }
-    if (!(reader.header() == stream->header())) {
-      return fail("header diverges from StreamReader" + tag);
-    }
-    if (reader.ok() != stream->ok()) {
-      return fail("verdict diverges: fast ok()=" +
-                  std::to_string(reader.ok()) + " stream ok()=" +
-                  std::to_string(stream->ok()) + tag);
-    }
-    if (reader.error_count() != stream->error_count()) {
-      return fail("error_count " + std::to_string(reader.error_count()) +
-                  " != stream " + std::to_string(stream->error_count()) +
-                  tag);
-    }
-    if (reader.errors() != stream->errors()) {
-      return fail("bounded error list diverges from StreamReader" + tag);
-    }
-    if (reader.errors().size() > fast_options.max_stored_errors) {
-      return fail("error storage exceeds bound: " +
-                  std::to_string(reader.errors().size()) + tag);
-    }
-    if (reader.partials_skipped() != stream->partials_skipped()) {
-      return fail("partials_skipped " +
-                  std::to_string(reader.partials_skipped()) + " != stream " +
-                  std::to_string(stream->partials_skipped()) + tag);
-    }
-    if (reader.lines_read() != stream->lines_read()) {
-      return fail("lines_read " + std::to_string(reader.lines_read()) +
-                  " != stream " + std::to_string(stream->lines_read()) + tag);
-    }
+  swf::StreamReader stream(std::make_unique<std::istringstream>(text), "fuzz",
+                           stream_options);
+  std::vector<swf::JobRecord> streamed;
+  while (auto r = stream.next()) streamed.push_back(*r);
+  std::vector<swf::JobRecord> summaries;
+  for (const auto& r : oracle.trace.records) {
+    if (r.is_summary()) summaries.push_back(r);
+  }
+  if (streamed != summaries) {
+    return fail("StreamReader records diverge from the oracle" + tag);
+  }
+  if (!(stream.header() == oracle.trace.header)) {
+    return fail("StreamReader header diverges from the oracle" + tag);
+  }
+  if (stream.ok() != oracle.ok()) {
+    return fail("verdict diverges: StreamReader ok()=" +
+                std::to_string(stream.ok()) + " oracle ok()=" +
+                std::to_string(oracle.ok()) + tag);
+  }
+  if (stream.error_count() != oracle.errors.size()) {
+    return fail("StreamReader error_count " +
+                std::to_string(stream.error_count()) + " != oracle " +
+                std::to_string(oracle.errors.size()) + tag);
+  }
+  const std::size_t stored =
+      std::min(oracle.errors.size(), stream_options.max_stored_errors);
+  if (!std::equal(stream.errors().begin(), stream.errors().end(),
+                  oracle.errors.begin(),
+                  oracle.errors.begin() + std::ptrdiff_t(stored))) {
+    return fail("StreamReader bounded error list diverges from the oracle" +
+                tag);
+  }
+  const std::size_t partials = oracle.trace.records.size() - summaries.size();
+  if (stream.partials_skipped() != partials) {
+    return fail("StreamReader partials_skipped " +
+                std::to_string(stream.partials_skipped()) + tag);
+  }
+  // Strict mode stops on the first bad line; otherwise every physical
+  // line is consumed.
+  const std::size_t want_lines = strict && !oracle.errors.empty()
+                                     ? oracle.errors.front().line
+                                     : physical_lines(text);
+  if (stream.lines_read() != want_lines) {
+    return fail("StreamReader lines_read " +
+                std::to_string(stream.lines_read()) + " != " +
+                std::to_string(want_lines) + tag);
   }
   return {};
 }
@@ -275,17 +273,16 @@ ParserFuzzReport run_parser_fuzzer(const ParserFuzzOptions& options) {
     util::Rng rng(case_seed);
     std::string text = base_input(rng, case_seed);
     mutate(text, rng);
-    const bool strict = rng.bernoulli(0.25);
-    const bool allow_extra = rng.bernoulli(0.25);
-    // Tiny random chunks move the boundaries through every line; 0
-    // leaves auto-chunking in play.
-    const std::size_t chunk_bytes =
-        rng.bernoulli(0.75) ? std::size_t(rng.uniform_int(1, 257)) : 0;
     ++report.cases;
     CaseFailure failure;
     try {
-      failure = check_case(text, strict, allow_extra, chunk_bytes,
-                           options.thread_counts);
+      for (const bool strict : {false, true}) {
+        for (const bool allow_extra : {false, true}) {
+          failure = check_case(text, strict, allow_extra);
+          if (failure.failed) break;
+        }
+        if (failure.failed) break;
+      }
     } catch (const std::exception& e) {
       failure = {true, std::string("exception: ") + e.what()};
     }

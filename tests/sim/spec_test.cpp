@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exp/campaign.hpp"
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
@@ -143,45 +144,31 @@ TEST(SimulationSpec, AutoNodesSpelledAuto) {
   EXPECT_EQ(pinned.nodes, 64);
 }
 
-TEST(SimulationSpec, ParserKeysRoundTrip) {
-  // Defaults stay silent in the canonical form.
-  EXPECT_EQ(SimulationSpec{}.to_string().find("parser="), std::string::npos);
-  EXPECT_EQ(SimulationSpec{}.to_string().find("threads="), std::string::npos);
-
-  const auto spec = SimulationSpec{}.with_parser("fast", 8);
-  EXPECT_EQ(spec.parser, "fast");
-  EXPECT_EQ(spec.threads, 8);
-  EXPECT_NO_THROW(spec.validate());
-  const std::string text = spec.to_string();
-  EXPECT_NE(text.find("parser=fast"), std::string::npos) << text;
-  EXPECT_NE(text.find("threads=8"), std::string::npos) << text;
-  const auto parsed = SimulationSpec::parse(text);
-  EXPECT_EQ(parsed.parser, "fast");
-  EXPECT_EQ(parsed.threads, 8);
-  EXPECT_EQ(parsed.to_string(), text);
-
-  // The bare fast parser (threads=1 implied) round-trips too.
-  const auto single = SimulationSpec::parse("scheduler=easy parser=fast");
-  EXPECT_EQ(single.parser, "fast");
-  EXPECT_EQ(single.threads, 1);
-}
-
-TEST(SimulationSpec, ValidateRejectsParserNonsense) {
-  SimulationSpec bad_parser;
-  bad_parser.parser = "turbo";
-  EXPECT_THROW(bad_parser.validate(), std::invalid_argument);
-  SimulationSpec bad_threads;
-  bad_threads.threads = 0;
-  EXPECT_THROW(bad_threads.validate(), std::invalid_argument);
-  // threads > 1 needs the parallel backend; the stream parser is
-  // single-threaded.
-  SimulationSpec stream_threads;
-  stream_threads.threads = 4;
-  EXPECT_THROW(stream_threads.validate(), std::invalid_argument);
-  EXPECT_THROW(SimulationSpec::parse("scheduler=easy parser=turbo"),
-               std::invalid_argument);
-  EXPECT_THROW(SimulationSpec::parse("scheduler=easy threads=0"),
-               std::invalid_argument);
+TEST(SimulationSpec, RemovedIngestKeysAreRejected) {
+  // There is one trace parser, so parser= and threads= are not keys:
+  // both the spec grammar and the campaign grammar reject them as
+  // unknown rather than accepting them as no-ops.
+  const auto message = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("<accepted>");
+  };
+  for (const std::string key : {"parser=fast", "threads=2"}) {
+    const std::string spec_error =
+        message([&] { SimulationSpec::parse("scheduler=easy " + key); });
+    EXPECT_NE(spec_error.find("unknown key"), std::string::npos)
+        << key << ": " << spec_error;
+    const std::string campaign_error = message([&] {
+      exp::parse_campaign_spec_string("workload = trace:logs/kth.swf " + key +
+                                      "\nscheduler = fcfs\n");
+    });
+    EXPECT_NE(campaign_error.find("unknown workload option"),
+              std::string::npos)
+        << key << ": " << campaign_error;
+  }
 }
 
 TEST(SimulationSpec, BuilderChains) {
