@@ -7,6 +7,7 @@
 // comparison across implementations.
 //
 // Usage: bench_profile [--quick] [--json PATH] [--dump-csv PATH]
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -128,8 +129,16 @@ void replay_bench(util::Table& table, bench::JsonReporter& json,
     json.add(bench_name, "events", events_per_s, "events/s");
 
     if (!csv_path.empty()) {
+      // Decisions sorted by id: the regression artifact for "same
+      // scheduler decisions" comparisons across refactors.
+      auto completed = result.completed;
+      std::sort(completed.begin(), completed.end(),
+                [](const sim::CompletedJob& a, const sim::CompletedJob& b) {
+                  return a.id < b.id;
+                });
       std::ofstream out(csv_path + "." + name + ".csv");
-      bench::write_decisions_csv(out, result.completed);
+      sim::CompletionCsvObserver csv(out);
+      for (const auto& job : completed) csv.on_job_complete(job);
     }
   }
 

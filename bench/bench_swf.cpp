@@ -81,7 +81,6 @@ int phase_generate(const std::string& trace_path, std::uint64_t jobs) {
   return 0;
 }
 
-/// Completion-order decision dump: the regression artifact both replay
 int phase_stream_replay(const std::string& trace_path,
                         const std::string& csv_path,
                         const std::string& report_path,
@@ -89,9 +88,7 @@ int phase_stream_replay(const std::string& trace_path,
   std::ofstream csv(csv_path);
   if (!csv) return fail("cannot write " + csv_path);
 
-  swf::StreamReaderOptions reader_options;
-  reader_options.prefetch = true;
-  swf::StreamReader source(trace_path, reader_options);
+  swf::StreamReader source(trace_path);
   if (source.open_failed()) return fail("cannot open " + trace_path);
 
   // Both replay paths dump completions through the same streaming CSV

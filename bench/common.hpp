@@ -125,21 +125,6 @@ class JsonReporter {
   std::vector<std::string> tables_;
 };
 
-/// Dump completed-job decisions as CSV (sorted by id) — the regression
-/// artifact for "same scheduler decisions" comparisons across refactors.
-inline void write_decisions_csv(std::ostream& os,
-                                std::vector<sim::CompletedJob> completed) {
-  std::sort(completed.begin(), completed.end(),
-            [](const sim::CompletedJob& a, const sim::CompletedJob& b) {
-              return a.id < b.id;
-            });
-  os << "id,submit,start,end,procs,restarts\n";
-  for (const auto& c : completed) {
-    os << c.id << ',' << c.submit << ',' << c.start << ',' << c.end << ','
-       << c.procs << ',' << c.restarts << '\n';
-  }
-}
-
 /// Generate a model workload scaled to a target offered load.
 inline swf::Trace make_workload(workload::ModelKind kind, std::size_t jobs,
                                 std::int64_t nodes, double load,

@@ -53,9 +53,6 @@ class TraceSource final : public JobSource {
   const TraceHeader& header() const override { return trace_->header; }
   std::string label() const override { return "trace:<memory>"; }
 
-  /// Rewind to the first record (a trace can be replayed many times).
-  void reset() { index_ = 0; }
-
  private:
   const Trace* trace_;
   std::size_t index_ = 0;

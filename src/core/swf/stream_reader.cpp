@@ -19,44 +19,28 @@ StreamReader::StreamReader(const std::string& path,
     : options_(options), label_("trace:" + path) {
   auto file = std::make_unique<std::ifstream>(path, std::ios::binary);
   if (!*file) {
-    open_failed_ = true;
-    errors_.push_back({0, "cannot open file: " + path});
-    error_count_ = 1;
-    input_done_ = true;
-    exhausted_ = true;
+    fail_open("cannot open file: " + path);
     return;
   }
-  owned_in_ = std::move(file);
-  in_ = owned_in_.get();
+  in_ = std::move(file);
   read_header();
-  if (options_.prefetch) start_prefetch();
 }
 
 StreamReader::StreamReader(std::unique_ptr<std::istream> in, std::string label,
                            const StreamReaderOptions& options)
-    : options_(options), owned_in_(std::move(in)), label_(std::move(label)) {
-  if (!owned_in_) {
-    open_failed_ = true;
-    errors_.push_back({0, "null input stream"});
-    error_count_ = 1;
-    input_done_ = true;
-    exhausted_ = true;
+    : options_(options), in_(std::move(in)), label_(std::move(label)) {
+  if (!in_) {
+    fail_open("null input stream");
     return;
   }
-  in_ = owned_in_.get();
   read_header();
-  if (options_.prefetch) start_prefetch();
 }
 
-StreamReader::~StreamReader() {
-  if (producer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    can_produce_.notify_all();
-    producer_.join();
-  }
+void StreamReader::fail_open(std::string message) {
+  open_failed_ = true;
+  errors_.push_back({0, std::move(message)});
+  error_count_ = 1;
+  done_ = true;
 }
 
 bool StreamReader::next_line(std::string_view& line) {
@@ -101,140 +85,62 @@ bool StreamReader::next_line(std::string_view& line) {
 void StreamReader::read_header() {
   // The header block is every `;` comment before the first non-comment
   // line ("the beginning of every file contains several such lines").
-  // The first data line is stashed for parse_next to re-consume.
+  // The first data line is stashed for next() to re-consume.
   std::string_view line;
   while (next_line(line)) {
-    ++producer_line_no_;
     const auto trimmed = util::trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed.front() == ';') {
-      absorb_header_line(header_, std::string(trimmed.substr(1)));
-      continue;
+    if (!trimmed.empty() && trimmed.front() != ';') {
+      // next() counts this line when it re-consumes it.
+      pending_first_line_.assign(line);
+      has_pending_first_line_ = true;
+      return;
     }
-    --producer_line_no_;  // parse_next re-counts the stashed line
-    pending_first_line_.assign(line);
-    has_pending_first_line_ = true;
-    break;
+    ++line_no_;
+    if (!trimmed.empty()) {
+      absorb_header_line(header_, std::string(trimmed.substr(1)));
+    }
   }
-  line_no_ = producer_line_no_;  // header lines are already consumed
 }
 
-std::optional<JobRecord> StreamReader::parse_next(Batch& sink) {
-  if (stop_parsing_) return std::nullopt;
-  for (;;) {
+std::optional<JobRecord> StreamReader::next() {
+  while (!done_) {
     std::string_view line;
     if (has_pending_first_line_) {
       line = pending_first_line_;
       has_pending_first_line_ = false;
     } else if (!next_line(line)) {
-      return std::nullopt;
+      done_ = true;
+      break;
     }
-    ++producer_line_no_;
-    ++sink.lines;
+    ++line_no_;
     JobRecord record;
-    LineScan scan =
-        scan_swf_line(line, options_.allow_extra_fields, record);
+    LineScan scan = scan_swf_line(line, options_.allow_extra_fields, record);
     switch (scan.kind) {
       case LineKind::kBlank:
         continue;
       case LineKind::kComment:
-        sink.comments.emplace_back(scan.comment);
+        if (comments_stored_ < kMaxStoredComments) {
+          header_.extra_comments.emplace_back(scan.comment);
+          ++comments_stored_;
+        }
         continue;
       case LineKind::kError:
-        sink.errors.push_back({producer_line_no_, std::move(scan.error)});
-        if (options_.strict) {
-          stop_parsing_ = true;
-          return std::nullopt;
+        if (errors_.size() < kMaxStoredErrors) {
+          errors_.push_back({line_no_, std::move(scan.error)});
         }
+        ++error_count_;
+        done_ = options_.strict;
         continue;
       case LineKind::kRecord:
         if (!record.is_summary()) {
-          ++sink.partials;
+          ++partials_skipped_;
           continue;
         }
+        ++records_returned_;
         return record;
     }
   }
-}
-
-void StreamReader::absorb(Batch& batch) {
-  for (auto& e : batch.errors) {
-    if (errors_.size() < options_.max_stored_errors) {
-      errors_.push_back(std::move(e));
-    }
-  }
-  error_count_ += batch.errors.size();
-  partials_skipped_ += batch.partials;
-  line_no_ += batch.lines;
-  for (auto& c : batch.comments) {
-    if (comments_stored_ < kMaxStoredComments) {
-      header_.extra_comments.push_back(std::move(c));
-      ++comments_stored_;
-    }
-  }
-  batch.errors.clear();
-  batch.comments.clear();
-  batch.partials = 0;
-  batch.lines = 0;
-}
-
-void StreamReader::start_prefetch() {
-  producer_ = std::thread([this] {
-    for (;;) {
-      Batch batch;
-      batch.records.reserve(options_.prefetch_batch);
-      while (batch.records.size() < options_.prefetch_batch) {
-        auto rec = parse_next(batch);
-        if (!rec) {
-          batch.last = true;
-          break;
-        }
-        batch.records.push_back(*rec);
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      can_produce_.wait(lock, [this] {
-        return shutdown_ || queue_.size() < options_.prefetch_depth;
-      });
-      if (shutdown_) return;
-      const bool last = batch.last;
-      queue_.push_back(std::move(batch));
-      lock.unlock();
-      can_consume_.notify_one();
-      if (last) return;
-    }
-  });
-}
-
-std::optional<JobRecord> StreamReader::next() {
-  if (exhausted_) return std::nullopt;
-
-  if (!options_.prefetch) {
-    auto rec = parse_next(sync_batch_);
-    absorb(sync_batch_);
-    if (!rec) {
-      exhausted_ = true;
-      return std::nullopt;
-    }
-    ++records_returned_;
-    return rec;
-  }
-
-  while (current_pos_ >= current_.records.size()) {
-    if (current_.last) {
-      exhausted_ = true;
-      return std::nullopt;
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    can_consume_.wait(lock, [this] { return !queue_.empty(); });
-    current_ = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    can_produce_.notify_one();
-    current_pos_ = 0;
-    absorb(current_);
-  }
-  ++records_returned_;
-  return current_.records[current_pos_++];
+  return std::nullopt;
 }
 
 }  // namespace pjsb::swf

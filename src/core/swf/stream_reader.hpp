@@ -18,21 +18,17 @@
 //     strict mode;
 //   * a truncated final line (no trailing newline) still parses.
 //
-// With `prefetch = true` a background thread reads and parses ahead,
-// handing batches of records across a bounded queue — I/O and parsing
-// overlap simulation. Error/comment accounting then reflects the
-// records consumed so far and is complete once next() returns nullopt.
+// Parsing is synchronous: next() scans lines until it finds a summary
+// record, so the error/comment accounting always covers exactly the
+// input consumed so far.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <istream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "core/swf/job_source.hpp"
@@ -47,18 +43,13 @@ struct StreamReaderOptions {
   bool allow_extra_fields = false;
   /// I/O chunk size; the only O(bytes) allocation the reader makes.
   std::size_t chunk_bytes = std::size_t(1) << 20;
-  /// Keep at most this many ParseErrors (the total count stays exact).
-  std::size_t max_stored_errors = 64;
-  /// Parse ahead on a background thread.
-  bool prefetch = false;
-  /// Records per prefetch batch and max batches in flight; the memory
-  /// bound in prefetch mode is chunk_bytes + batch * (depth + 2) records.
-  std::size_t prefetch_batch = 1024;
-  std::size_t prefetch_depth = 4;
 };
 
 class StreamReader final : public JobSource {
  public:
+  /// ParseErrors kept in errors(); error_count() stays exact beyond it.
+  static constexpr std::size_t kMaxStoredErrors = 64;
+
   /// Open a file. Failure to open is not a throw: the source is empty,
   /// ok() is false and errors() holds a line-0 diagnostic, mirroring
   /// read_swf_file.
@@ -67,7 +58,6 @@ class StreamReader final : public JobSource {
   /// Read from an owned stream (tests, pipes).
   StreamReader(std::unique_ptr<std::istream> in, std::string label,
                const StreamReaderOptions& options = {});
-  ~StreamReader() override;
 
   StreamReader(const StreamReader&) = delete;
   StreamReader& operator=(const StreamReader&) = delete;
@@ -79,7 +69,7 @@ class StreamReader final : public JobSource {
   /// True while the stream opened and no parse error has surfaced.
   bool ok() const { return !open_failed_ && error_count_ == 0; }
   bool open_failed() const { return open_failed_; }
-  /// First max_stored_errors diagnostics, in line order.
+  /// First kMaxStoredErrors diagnostics, in line order.
   const std::vector<ParseError>& errors() const { return errors_; }
   /// Exact total, including diagnostics beyond the storage bound.
   std::size_t error_count() const { return error_count_; }
@@ -90,69 +80,38 @@ class StreamReader final : public JobSource {
   std::size_t lines_read() const { return line_no_; }
 
  private:
-  /// One parsed unit handed from the producer side to the consumer.
-  struct Batch {
-    std::vector<JobRecord> records;
-    std::vector<ParseError> errors;
-    std::vector<std::string> comments;  ///< post-record comments
-    std::size_t partials = 0;
-    std::size_t lines = 0;
-    bool last = false;
-  };
-
   /// Read one physical line (without its newline) from the chunked
   /// stream. The view points into chunk_ (or carry_ when the line
   /// spans a chunk refill) and is valid until the next call. Returns
   /// false at end of input.
   bool next_line(std::string_view& line);
-  /// Synchronously parse until one summary record is found; accounting
-  /// goes into `sink`. Returns nullopt at end of input (or after an
-  /// error in strict mode).
-  std::optional<JobRecord> parse_next(Batch& sink);
-  void absorb(Batch& batch);
-  void start_prefetch();
   void read_header();
+  void fail_open(std::string message);
 
   StreamReaderOptions options_;
-  std::unique_ptr<std::istream> owned_in_;
-  std::istream* in_ = nullptr;
+  std::unique_ptr<std::istream> in_;
   std::string label_;
   TraceHeader header_;
   bool open_failed_ = false;
 
-  // Chunked line scanning (producer side once prefetching).
+  // Chunked line scanning.
   std::string chunk_;
   std::string carry_;  ///< spill for lines that span a chunk refill
   std::size_t chunk_pos_ = 0;
   bool input_done_ = false;
-  std::size_t producer_line_no_ = 0;
-  bool stop_parsing_ = false;  ///< strict mode tripped
   /// First data line, found while reading the header block.
   std::string pending_first_line_;
   bool has_pending_first_line_ = false;
+  /// End of input reached, strict mode tripped, or the open failed.
+  bool done_ = false;
 
-  // Consumer-side accounting.
+  // Accounting.
   std::vector<ParseError> errors_;
   std::size_t error_count_ = 0;
   std::size_t records_returned_ = 0;
   std::size_t partials_skipped_ = 0;
   std::size_t line_no_ = 0;
   std::size_t comments_stored_ = 0;
-
-  // Synchronous mode: records flow straight through sync_batch_.
-  Batch sync_batch_;
-
-  // Prefetch mode.
-  std::thread producer_;
-  std::mutex mutex_;
-  std::condition_variable can_produce_;
-  std::condition_variable can_consume_;
-  std::deque<Batch> queue_;
-  bool producer_done_ = false;
-  bool shutdown_ = false;
-  Batch current_;
-  std::size_t current_pos_ = 0;
-  bool exhausted_ = false;
 };
 
 }  // namespace pjsb::swf

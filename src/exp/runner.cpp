@@ -37,12 +37,6 @@ std::int64_t effective_nodes(const CampaignSpec& spec,
   return workload::ModelConfig{}.machine_nodes;
 }
 
-std::size_t count_summary_jobs(const swf::Trace& trace) {
-  return std::size_t(std::count_if(
-      trace.records.begin(), trace.records.end(),
-      [](const swf::JobRecord& r) { return r.is_summary(); }));
-}
-
 /// `validate=1` cells ride an InvariantChecker on the replay; a dirty
 /// run fails the campaign with the first violations spelled out (a
 /// report whose cells broke the simulation's ground rules is worse
@@ -87,61 +81,67 @@ std::string cell_trace_path(const CampaignSpec& spec, const CellSpec& cell) {
          ".trace.jsonl";
 }
 
-/// Run one streaming cell: build the per-cell JobSource (StreamReader
-/// for trace files, ModelJobSource for models) and replay it through
-/// the bounded-memory engine path. Per-job completion records are kept
-/// for exact metric aggregation. Open-loop streamed cells make the
-/// same decisions as a materialized run of the same workload;
-/// closed-loop cells resolve fields 17/18 within the lookahead window
-/// and can diverge from a materialized run when a dependent is pulled
-/// after its predecessor terminated (see README, "closed-loop caveat")
-/// — raise `lookahead` to cover the trace's dependency spans when
-/// comparing stream=0 against stream=1 cells.
-sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
-                                  const CellSpec& cell,
-                                  const WorkloadSpec& wspec,
-                                  const ConfigSpec& cspec,
-                                  obs::TelemetryRegistry* telemetry) {
-  sim::SimulationSpec sim_spec;
-  sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  sim_spec.closed_loop = cspec.closed_loop;
-  sim_spec.deliver_announcements = cspec.deliver_announcements;
+/// Replay one cell's workload: a materialized trace or a JobSource.
+/// Validate cells ride an InvariantChecker (a dirty run fails the
+/// campaign), telemetry cells a registry observer; both need the
+/// scheduler instance in hand (to watch its profile), so those paths
+/// build it themselves instead of letting replay() resolve the spec
+/// string.
+template <typename Workload>
+sim::ReplayResult replay_cell(Workload& workload,
+                              const sim::SimulationSpec& sim_spec,
+                              const ConfigSpec& cspec, std::int64_t nodes,
+                              obs::TelemetryRegistry* telemetry,
+                              sim::ReplayHooks hooks) {
+  if (!cspec.validate && !telemetry) {
+    return sim::replay(workload, sim_spec, hooks);
+  }
+  auto scheduler = sched::make_scheduler(sim_spec.scheduler);
+  std::optional<obs::TelemetryObserver> telemetry_observer;
+  if (telemetry) {
+    telemetry_observer.emplace(*telemetry);
+    telemetry_observer->watch(*scheduler);
+    hooks.observe(*telemetry_observer);
+  }
+  std::optional<validate::InvariantChecker> checker;
+  if (cspec.validate) {
+    checker.emplace(checker_options_for(sim_spec.scheduler, nodes, cspec));
+    checker->watch(*scheduler);
+    hooks.observe(*checker);
+  }
+  auto result = sim::replay(workload, std::move(scheduler), sim_spec, hooks);
+  if (checker && !checker->clean()) {
+    throw_validation_failure(sim_spec.scheduler, *checker);
+  }
+  return result;
+}
+
+/// Replay a streaming cell: build the per-cell JobSource (StreamReader
+/// for trace files, ModelJobSource for models) and run it through the
+/// bounded-memory engine path. Per-job completion records are kept for
+/// exact metric aggregation. Open-loop streamed cells make the same
+/// decisions as a materialized run of the same workload; closed-loop
+/// cells resolve fields 17/18 within the lookahead window and can
+/// diverge from a materialized run when a dependent is pulled after its
+/// predecessor terminated (see README, "closed-loop caveat") — raise
+/// `lookahead` to cover the trace's dependency spans when comparing
+/// stream=0 against stream=1 cells.
+sim::ReplayResult replay_stream(const CampaignSpec& spec,
+                                const CellSpec& cell,
+                                const WorkloadSpec& wspec,
+                                const ConfigSpec& cspec,
+                                sim::SimulationSpec sim_spec,
+                                obs::TelemetryRegistry* telemetry) {
   sim_spec.lookahead = wspec.lookahead;
   sim_spec.recycle_slots = true;
-  apply_recovery(cspec, sim_spec);
-  if (telemetry) sim_spec.with_trace(cell_trace_path(spec, cell));
   // Node resolution is replay()'s: the source header's MaxNodes (the
   // generator writes machine_nodes there) or kDefaultNodes, unless the
   // spec pins a size.
   if (spec.nodes > 0) sim_spec.nodes = spec.nodes;
-
   const auto replay_source = [&](swf::JobSource& source) {
-    if (!cspec.validate && !telemetry) return sim::replay(source, sim_spec);
-    // Both the invariant checker and the telemetry observer need the
-    // scheduler instance in hand (to watch its profile), so these
-    // paths build it themselves instead of letting replay() resolve
-    // the spec string.
-    auto scheduler = sched::make_scheduler(sim_spec.scheduler);
-    sim::ReplayHooks hooks;
-    std::optional<obs::TelemetryObserver> telemetry_observer;
-    if (telemetry) {
-      telemetry_observer.emplace(*telemetry);
-      telemetry_observer->watch(*scheduler);
-      hooks.observe(*telemetry_observer);
-    }
-    std::optional<validate::InvariantChecker> checker;
-    if (cspec.validate) {
-      const std::int64_t nodes = sim_spec.nodes.value_or(
-          source.header().max_nodes.value_or(sim::kDefaultNodes));
-      checker.emplace(checker_options_for(sim_spec.scheduler, nodes, cspec));
-      checker->watch(*scheduler);
-      hooks.observe(*checker);
-    }
-    auto result = sim::replay(source, std::move(scheduler), sim_spec, hooks);
-    if (checker && !checker->clean()) {
-      throw_validation_failure(sim_spec.scheduler, *checker);
-    }
-    return result;
+    const std::int64_t nodes = sim_spec.nodes.value_or(
+        source.header().max_nodes.value_or(sim::kDefaultNodes));
+    return replay_cell(source, sim_spec, cspec, nodes, telemetry, {});
   };
 
   if (wspec.model) {
@@ -184,8 +184,8 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
 /// rescaling here (it is deterministic, so the result is shared by all
 /// cells); model and streamed workloads get an empty placeholder so
 /// the vector stays index-aligned.
-std::vector<PreloadedWorkload> preload_traces(const CampaignSpec& spec) {
-  std::vector<PreloadedWorkload> traces(spec.workloads.size());
+std::vector<swf::Trace> preload_traces(const CampaignSpec& spec) {
+  std::vector<swf::Trace> traces(spec.workloads.size());
   for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
     const auto& w = spec.workloads[i];
     if (w.model || w.stream) continue;
@@ -213,21 +213,19 @@ std::vector<PreloadedWorkload> preload_traces(const CampaignSpec& spec) {
       throw std::runtime_error("campaign: trace '" + w.trace_path +
                                "' contains no job records");
     }
-    traces[i].trace = std::move(result.trace);
+    traces[i] = std::move(result.trace);
     if (w.load > 0.0) {
-      const auto nodes = effective_nodes(spec, w, &traces[i].trace);
+      const auto nodes = effective_nodes(spec, w, &traces[i]);
       // scale_to_load silently returns degenerate traces unchanged; a
       // report claiming a load the run never had would be worse than
       // failing here.
-      if (workload::offered_load(traces[i].trace, nodes) <= 0.0) {
+      if (workload::offered_load(traces[i], nodes) <= 0.0) {
         throw std::runtime_error(
             "campaign: trace '" + w.trace_path +
             "' has degenerate offered load and cannot be rescaled");
       }
-      traces[i].trace =
-          workload::scale_to_load(traces[i].trace, w.load, nodes);
+      traces[i] = workload::scale_to_load(traces[i], w.load, nodes);
     }
-    traces[i].summary_jobs = count_summary_jobs(traces[i].trace);
   }
   return traces;
 }
@@ -235,120 +233,85 @@ std::vector<PreloadedWorkload> preload_traces(const CampaignSpec& spec) {
 }  // namespace
 
 CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
-                    const std::vector<PreloadedWorkload>& preloaded) {
+                    const std::vector<swf::Trace>& preloaded) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto& wspec = spec.workloads.at(cell.workload);
   const auto& cspec = spec.configs.at(cell.config);
-  util::Rng rng(cell.seed);
   // One registry per cell: summaries must not bleed across cells, and
-  // a per-cell instance keeps the increments contention-free.
-  const bool want_telemetry = !spec.telemetry_dir.empty();
+  // a per-cell instance keeps the increments contention-free. Telemetry
+  // cells also write a per-cell trace sink.
   obs::TelemetryRegistry telemetry;
-
-  if (wspec.stream) {
-    const auto replay_result = run_stream_cell(
-        spec, cell, wspec, cspec, want_telemetry ? &telemetry : nullptr);
-    CellResult result;
-    result.cell = cell;
-    result.metrics =
-        metrics::compute_report(replay_result.completed, replay_result.stats);
-    result.workload_jobs = std::size_t(replay_result.source_pulled);
-    result.telemetry = telemetry.summary();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return result;
-  }
-
-  // 1. Workload: regenerate (and rescale) from the cell seed, or use
-  // the shared preloaded trace, which is already rescaled — no per-cell
-  // copy of trace-file workloads. Cells sharing a (workload,
-  // replication) seed regenerate identical synthetic traces rather
-  // than sharing a cached one: generation is cheap next to simulation,
-  // and this keeps worker memory bounded for large campaigns.
-  swf::Trace generated;
-  const swf::Trace* trace;
-  std::int64_t nodes;
-  std::size_t summary_jobs;
-  if (wspec.model) {
-    nodes = effective_nodes(spec, wspec, nullptr);
-    workload::ModelConfig mconfig;
-    mconfig.jobs = wspec.jobs;
-    mconfig.machine_nodes = nodes;
-    generated = workload::generate(*wspec.model, mconfig, rng);
-    if (wspec.load > 0.0) {
-      if (workload::offered_load(generated, nodes) <= 0.0) {
-        throw std::runtime_error("campaign: workload '" + wspec.label +
-                                 "' has degenerate offered load and cannot "
-                                 "be rescaled");
-      }
-      generated = workload::scale_to_load(generated, wspec.load, nodes);
-    }
-    trace = &generated;
-    summary_jobs = count_summary_jobs(generated);
-  } else {
-    const auto& loaded = preloaded.at(cell.workload);
-    trace = &loaded.trace;
-    summary_jobs = loaded.summary_jobs;
-    nodes = effective_nodes(spec, wspec, trace);
-  }
-
-  // 2. Engine configuration, including a per-cell outage stream (a
-  // runtime attachment, so it rides in the hooks, not the spec).
+  obs::TelemetryRegistry* registry = nullptr;
   sim::SimulationSpec sim_spec;
   sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  sim_spec.nodes = nodes;
   sim_spec.closed_loop = cspec.closed_loop;
   sim_spec.deliver_announcements = cspec.deliver_announcements;
   apply_recovery(cspec, sim_spec);
-  if (cspec.faults) {
-    // Per-cell crash stream: pure function of the cell seed, so every
-    // scheduler/config faces the same crashes (common random numbers)
-    // and replications sample fresh ones — at any thread count.
-    const std::uint64_t fault_seed = util::derive_seed(cell.seed, 0xFA);
-    sim_spec.faults = fault_seed != 0 ? fault_seed : 1;
-    sim_spec.mtbf = cspec.mtbf;
-    sim_spec.repair = cspec.repair;
-  }
-  sim::ReplayHooks hooks;
-  outage::OutageLog outages;
-  if (cspec.outages) {
-    outages = outage::generate_failures(outage::FailureModelParams{},
-                                        trace->horizon(), nodes, rng);
-    hooks.with_outages(outages);
+  if (!spec.telemetry_dir.empty()) {
+    registry = &telemetry;
+    sim_spec.with_trace(cell_trace_path(spec, cell));
   }
 
-  // 3. Replay and aggregate (validate cells ride an invariant checker,
-  // telemetry cells a registry observer + per-cell trace sink).
-  if (want_telemetry) sim_spec.with_trace(cell_trace_path(spec, cell));
   sim::ReplayResult replay_result;
-  if (cspec.validate || want_telemetry) {
-    auto scheduler = sched::make_scheduler(sim_spec.scheduler);
-    std::optional<obs::TelemetryObserver> telemetry_observer;
-    if (want_telemetry) {
-      telemetry_observer.emplace(telemetry);
-      telemetry_observer->watch(*scheduler);
-      hooks.observe(*telemetry_observer);
-    }
-    std::optional<validate::InvariantChecker> checker;
-    if (cspec.validate) {
-      checker.emplace(checker_options_for(sim_spec.scheduler, nodes, cspec));
-      checker->watch(*scheduler);
-      hooks.observe(*checker);
-    }
-    replay_result = sim::replay(*trace, std::move(scheduler), sim_spec, hooks);
-    if (checker && !checker->clean()) {
-      throw_validation_failure(sim_spec.scheduler, *checker);
-    }
+  if (wspec.stream) {
+    replay_result =
+        replay_stream(spec, cell, wspec, cspec, sim_spec, registry);
   } else {
-    replay_result = sim::replay(*trace, sim_spec, hooks);
+    // 1. Workload: regenerate (and rescale) from the cell seed, or use
+    // the shared preloaded trace, which is already rescaled — no
+    // per-cell copy of trace-file workloads. Cells sharing a (workload,
+    // replication) seed regenerate identical synthetic traces rather
+    // than sharing a cached one: generation is cheap next to
+    // simulation, and this keeps worker memory bounded for large
+    // campaigns.
+    util::Rng rng(cell.seed);
+    swf::Trace generated;
+    const swf::Trace* trace =
+        wspec.model ? &generated : &preloaded.at(cell.workload);
+    const std::int64_t nodes = effective_nodes(spec, wspec, trace);
+    if (wspec.model) {
+      workload::ModelConfig mconfig;
+      mconfig.jobs = wspec.jobs;
+      mconfig.machine_nodes = nodes;
+      generated = workload::generate(*wspec.model, mconfig, rng);
+      if (wspec.load > 0.0) {
+        if (workload::offered_load(generated, nodes) <= 0.0) {
+          throw std::runtime_error("campaign: workload '" + wspec.label +
+                                   "' has degenerate offered load and "
+                                   "cannot be rescaled");
+        }
+        generated = workload::scale_to_load(generated, wspec.load, nodes);
+      }
+    }
+
+    // 2. Engine configuration, including a per-cell outage stream (a
+    // runtime attachment, so it rides in the hooks, not the spec).
+    sim_spec.nodes = nodes;
+    if (cspec.faults) {
+      // Per-cell crash stream: pure function of the cell seed, so every
+      // scheduler/config faces the same crashes (common random numbers)
+      // and replications sample fresh ones — at any thread count.
+      const std::uint64_t fault_seed = util::derive_seed(cell.seed, 0xFA);
+      sim_spec.faults = fault_seed != 0 ? fault_seed : 1;
+      sim_spec.mtbf = cspec.mtbf;
+      sim_spec.repair = cspec.repair;
+    }
+    sim::ReplayHooks hooks;
+    outage::OutageLog outages;
+    if (cspec.outages) {
+      outages = outage::generate_failures(outage::FailureModelParams{},
+                                          trace->horizon(), nodes, rng);
+      hooks.with_outages(outages);
+    }
+    replay_result =
+        replay_cell(*trace, sim_spec, cspec, nodes, registry, hooks);
   }
 
   CellResult result;
   result.cell = cell;
   result.metrics =
       metrics::compute_report(replay_result.completed, replay_result.stats);
-  result.workload_jobs = summary_jobs;
+  result.workload_jobs = std::size_t(replay_result.source_pulled);
   result.telemetry = telemetry.summary();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/swf/trace.hpp"
 #include "exp/campaign.hpp"
 #include "metrics/aggregate.hpp"
 #include "obs/telemetry.hpp"
@@ -55,19 +56,12 @@ struct CampaignRun {
 CampaignRun run_campaign(const CampaignSpec& spec,
                          const RunnerOptions& options = {});
 
-/// A trace-file workload loaded (and rescaled) once for all its cells.
-/// Model workloads use an empty placeholder to keep the vector aligned
-/// with spec.workloads.
-struct PreloadedWorkload {
-  swf::Trace trace;
-  std::size_t summary_jobs = 0;  ///< precomputed whole-job record count
-};
-
 /// Execute a single cell (the unit the pool workers run). Exposed for
 /// tests and for embedding in custom drivers. `preloaded` holds one
-/// entry per spec.workloads index, already rescaled to the workload's
-/// target load; entries for model workloads are ignored.
+/// trace per spec.workloads index: trace-file workloads loaded (and
+/// rescaled to the workload's target load) once for all their cells;
+/// entries for model and streamed workloads are ignored.
 CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
-                    const std::vector<PreloadedWorkload>& preloaded);
+                    const std::vector<swf::Trace>& preloaded);
 
 }  // namespace pjsb::exp

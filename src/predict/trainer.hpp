@@ -4,8 +4,7 @@
 // observations. This adapter feeds a replay's completion stream into
 // any WaitTimePredictor, so training rides the same sim::SimObserver
 // channel as CSV dumps and online metrics — attach it via
-// ReplayHooks::observe (or Engine::add_observer) instead of hijacking
-// the engine's single deprecated completion callback.
+// ReplayHooks::observe (or Engine::add_observer).
 #pragma once
 
 #include "predict/predictor.hpp"

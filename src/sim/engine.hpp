@@ -209,8 +209,7 @@ class Engine final : public sched::SchedulerContext {
   /// all accounting — into the versioned binary snapshot format.
   /// Legal between steps (never from inside an event handler or
   /// observer callback). Runtime attachments (observers, phase
-  /// listener, completion callback) are not serialized; re-attach them
-  /// after restore().
+  /// listener) are not serialized; re-attach them after restore().
   std::string snapshot() const;
 
   /// Reconstruct an engine from snapshot() bytes: the scheduler is

@@ -26,11 +26,37 @@ swf::ReadResult load_trace(const std::string& path,
 
 namespace {
 
-void attach_hooks(Engine& engine, const ReplayHooks& hooks) {
+/// The one replay body: sinks, engine, hooks, workload, run, result.
+/// `load` feeds the workload into the engine after the hooks and sinks
+/// are attached.
+template <typename Load>
+ReplayResult run_replay(const EngineConfig& config,
+                        std::unique_ptr<sched::Scheduler> scheduler,
+                        const SimulationSpec& spec, const ReplayHooks& hooks,
+                        Load&& load) {
+  // Observability sinks named in the spec (no-op bundle when none):
+  // open files before the run so a bad path fails fast.
+  obs::SinkSet sinks;
+  sinks.open(spec);
+
+  Engine engine(config, std::move(scheduler));
   if (hooks.outages) engine.add_outages(*hooks.outages);
   for (SimObserver* observer : hooks.observers) {
     engine.add_observer(*observer);
   }
+  sinks.attach(engine);
+  load(engine);
+  engine.run();
+  engine.notify_run_end();
+  sinks.finish();
+
+  ReplayResult result;
+  result.completed = engine.completed();
+  result.stats = engine.stats();
+  result.nodes = config.nodes;
+  result.source_pulled = engine.source_pulled();
+  result.source_clamped = engine.source_clamped();
+  return result;
 }
 
 }  // namespace
@@ -49,34 +75,20 @@ ReplayResult replay(const swf::Trace& trace,
   }
   const auto config =
       spec_engine_config(spec, trace.header.max_nodes.value_or(kDefaultNodes));
-
-  // Observability sinks named in the spec (no-op bundle when none):
-  // open files before the run so a bad path fails fast.
-  obs::SinkSet sinks;
-  sinks.open(spec);
-
-  Engine engine(config, std::move(scheduler));
-  attach_hooks(engine, hooks);
-  // The seeded crash schedule rides the outage delivery mechanism; it
-  // is a pure function of (seed, horizon, nodes), so the same spec
-  // reproduces the same failures regardless of who replays it.
-  outage::OutageLog crashes;
-  if (spec.faults != 0) {
-    crashes = fault::generate_crashes(spec.fault_model(), trace.horizon(),
-                                      config.nodes);
-    engine.add_outages(crashes);
-  }
-  sinks.attach(engine);
-  engine.load_trace(trace);
-  engine.run();
-  engine.notify_run_end();
-  sinks.finish();
-
-  ReplayResult result;
-  result.completed = engine.completed();
-  result.stats = engine.stats();
-  result.nodes = config.nodes;
-  return result;
+  return run_replay(config, std::move(scheduler), spec, hooks,
+                    [&](Engine& engine) {
+                      // The seeded crash schedule rides the outage
+                      // delivery mechanism; it is a pure function of
+                      // (seed, horizon, nodes), so the same spec
+                      // reproduces the same failures regardless of who
+                      // replays it.
+                      if (spec.faults != 0) {
+                        engine.add_outages(fault::generate_crashes(
+                            spec.fault_model(), trace.horizon(),
+                            config.nodes));
+                      }
+                      engine.load_trace(trace);
+                    });
 }
 
 ReplayResult replay(swf::JobSource& source,
@@ -90,28 +102,13 @@ ReplayResult replay(swf::JobSource& source,
   }
   const auto config = spec_engine_config(
       spec, source.header().max_nodes.value_or(kDefaultNodes));
-
-  obs::SinkSet sinks;
-  sinks.open(spec);
-
-  Engine engine(config, std::move(scheduler));
-  attach_hooks(engine, hooks);
-  sinks.attach(engine);
   JobSourceOptions source_options;
   source_options.lookahead = spec.lookahead;
   source_options.max_jobs = spec.max_jobs;
-  engine.set_job_source(source, source_options);
-  engine.run();
-  engine.notify_run_end();
-  sinks.finish();
-
-  ReplayResult result;
-  result.completed = engine.completed();
-  result.stats = engine.stats();
-  result.nodes = config.nodes;
-  result.source_pulled = engine.source_pulled();
-  result.source_clamped = engine.source_clamped();
-  return result;
+  return run_replay(config, std::move(scheduler), spec, hooks,
+                    [&](Engine& engine) {
+                      engine.set_job_source(source, source_options);
+                    });
 }
 
 ReplayResult replay(const swf::Trace& trace, const SimulationSpec& spec,

@@ -63,7 +63,7 @@ struct ReplayResult {
   std::vector<CompletedJob> completed;
   EngineStats stats;
   std::int64_t nodes = 0;
-  /// Streaming replays only: records pulled / submit-clamped.
+  /// Summary records pulled from the workload / submit-clamped.
   std::uint64_t source_pulled = 0;
   std::uint64_t source_clamped = 0;
 };

@@ -16,10 +16,9 @@
 // policy with the same parameters before loading its runtime state.
 //
 // What is NOT serialized (runtime attachments, re-attach after
-// restore): observers, the phase listener, the completion callback,
-// and the JobSource object itself — Engine::resume_job_source()
-// reconnects a source by skipping the records the donor already
-// pulled.
+// restore): observers, the phase listener and the JobSource object
+// itself — Engine::resume_job_source() reconnects a source by skipping
+// the records the donor already pulled.
 #pragma once
 
 #include <cstdint>

@@ -228,7 +228,7 @@ CaseFailure check_case(const std::string& text, bool strict,
                 std::to_string(oracle.errors.size()) + tag);
   }
   const std::size_t stored =
-      std::min(oracle.errors.size(), stream_options.max_stored_errors);
+      std::min(oracle.errors.size(), swf::StreamReader::kMaxStoredErrors);
   if (!std::equal(stream.errors().begin(), stream.errors().end(),
                   oracle.errors.begin(),
                   oracle.errors.begin() + std::ptrdiff_t(stored))) {

@@ -93,8 +93,8 @@ void expect_stream_matches(StreamReader& stream, const ReadResult& oracle,
   EXPECT_EQ(stream.header(), oracle.trace.header) << what;
   EXPECT_EQ(stream.ok(), oracle.ok()) << what;
   EXPECT_EQ(stream.error_count(), oracle.errors.size()) << what;
-  const std::size_t stored = std::min(oracle.errors.size(),
-                                      StreamReaderOptions{}.max_stored_errors);
+  const std::size_t stored =
+      std::min(oracle.errors.size(), StreamReader::kMaxStoredErrors);
   expect_same_errors(
       stream.errors(),
       {oracle.errors.begin(),

@@ -1,6 +1,6 @@
 // StreamReader: grammar parity with the in-memory reader, header
-// capture, malformed/truncated-line diagnostics, bounded error storage,
-// and prefetch-thread equivalence.
+// capture, malformed/truncated-line diagnostics and bounded error
+// storage.
 #include "core/swf/stream_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -229,20 +229,6 @@ TEST(StreamReader, MalformedFinalLineAcrossChunkBoundary) {
   EXPECT_EQ(reader.errors()[0].line, 2u);
 }
 
-TEST(StreamReader, MalformedFinalLineInPrefetchMode) {
-  const std::string text =
-      record_line(1, 0) + "\n" + record_line(2, 7) + "\n" + "broken tail";
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 2;
-  StreamReader reader(stream_of(text), "test", options);
-  const auto records = drain(reader);
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(reader.error_count(), 1u);
-  ASSERT_EQ(reader.errors().size(), 1u);
-  EXPECT_EQ(reader.errors()[0].line, 3u);
-}
-
 TEST(StreamReader, CrlfFinalLineWithoutNewlineParses) {
   // Windows line endings with a bare-CR tail: the final record keeps
   // its trailing \r and must still parse (the shared record parser
@@ -294,14 +280,14 @@ TEST(StreamReader, MissingFileReportsOpenFailure) {
 }
 
 TEST(StreamReader, ErrorStorageIsBoundedButCountExact) {
+  const std::size_t lines = StreamReader::kMaxStoredErrors + 10;
   std::string text;
-  for (int i = 0; i < 10; ++i) text += "broken\n";
-  StreamReaderOptions options;
-  options.max_stored_errors = 4;
-  StreamReader reader(stream_of(text), "test", options);
+  for (std::size_t i = 0; i < lines; ++i) text += "broken\n";
+  StreamReader reader(stream_of(text), "test");
   drain(reader);
-  EXPECT_EQ(reader.errors().size(), 4u);
-  EXPECT_EQ(reader.error_count(), 10u);
+  ASSERT_EQ(reader.errors().size(), StreamReader::kMaxStoredErrors);
+  EXPECT_EQ(reader.error_count(), lines);
+  EXPECT_EQ(reader.errors().back().line, StreamReader::kMaxStoredErrors);
 }
 
 std::string model_trace_text(std::size_t jobs) {
@@ -329,52 +315,6 @@ TEST(StreamReader, MatchesInMemoryReaderOnModelTrace) {
   EXPECT_EQ(reader.header(), expected.trace.header);
 }
 
-TEST(StreamReader, PrefetchModeIsRecordIdentical) {
-  const auto text = model_trace_text(1000);
-  StreamReader sync_reader(stream_of(text), "test");
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 7;  // force many queue handoffs
-  options.prefetch_depth = 2;
-  StreamReader prefetch_reader(stream_of(text), "test", options);
-
-  const auto a = drain(sync_reader);
-  const auto b = drain(prefetch_reader);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "record " << i;
-  }
-  EXPECT_EQ(prefetch_reader.error_count(), 0u);
-  EXPECT_EQ(prefetch_reader.lines_read(), sync_reader.lines_read());
-}
-
-TEST(StreamReader, PrefetchReportsErrorsWithCorrectLines) {
-  const std::string text = record_line(1, 0) + "\nbad\n" +
-                           record_line(2, 5) + "\nworse line here\n";
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 1;
-  StreamReader reader(stream_of(text), "test", options);
-  EXPECT_EQ(drain(reader).size(), 2u);
-  EXPECT_EQ(reader.error_count(), 2u);
-  ASSERT_EQ(reader.errors().size(), 2u);
-  EXPECT_EQ(reader.errors()[0].line, 2u);
-  EXPECT_EQ(reader.errors()[1].line, 4u);
-}
-
-TEST(StreamReader, PrefetchDestructionWithoutDrainingJoinsCleanly) {
-  // Abandoning a prefetching reader mid-stream must not hang or leak
-  // (the CI sanitizer job watches the leak part).
-  const auto text = model_trace_text(2000);
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 16;
-  auto reader =
-      std::make_unique<StreamReader>(stream_of(text), "test", options);
-  ASSERT_TRUE(reader->next().has_value());
-  reader.reset();  // destructor must stop the producer thread
-}
-
 TEST(TraceSource, YieldsOnlySummaryRecordsInOrder) {
   Trace trace;
   JobRecord a;
@@ -396,9 +336,6 @@ TEST(TraceSource, YieldsOnlySummaryRecordsInOrder) {
   EXPECT_EQ(first->job_number, 1);
   EXPECT_EQ(second->job_number, 2);
   EXPECT_FALSE(source.next().has_value());
-
-  source.reset();
-  EXPECT_TRUE(source.next().has_value());
 }
 
 }  // namespace

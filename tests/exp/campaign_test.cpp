@@ -685,14 +685,30 @@ TEST(Runner, StreamedTraceCellMatchesMaterializedCell) {
   spec.workloads = {w};
   spec.schedulers = {"easy", "fcfs"};
   spec.nodes = 0;  // auto: both paths must resolve MaxNodes themselves
+  // Telemetry rides both paths: the streamed cells must count the same
+  // starts and waits as the materialized ones.
+  const std::string materialized_dir =
+      testing::TempDir() + "pjsb_stream_tele_materialized";
+  const std::string streamed_dir =
+      testing::TempDir() + "pjsb_stream_tele_streamed";
+  std::filesystem::remove_all(materialized_dir);
+  std::filesystem::remove_all(streamed_dir);
 
+  spec.telemetry_dir = materialized_dir;
   const auto materialized = run_campaign(spec, {.threads = 1});
   spec.workloads[0].stream = true;
   spec.workloads[0].lookahead = 16;
+  spec.telemetry_dir = streamed_dir;
   const auto streamed = run_campaign(spec, {.threads = 1});
 
   ASSERT_EQ(streamed.cells.size(), materialized.cells.size());
   for (std::size_t i = 0; i < streamed.cells.size(); ++i) {
+    const auto& st = streamed.cells[i].telemetry;
+    const auto& mt = materialized.cells[i].telemetry;
+    EXPECT_GT(st.starts, 0u);
+    EXPECT_EQ(st.starts, mt.starts);
+    EXPECT_EQ(st.wait_sum, mt.wait_sum);
+    EXPECT_EQ(st.starts_by_provenance, mt.starts_by_provenance);
     EXPECT_EQ(streamed.cells[i].workload_jobs,
               materialized.cells[i].workload_jobs);
     EXPECT_DOUBLE_EQ(streamed.cells[i].metrics.mean_wait,
@@ -704,6 +720,8 @@ TEST(Runner, StreamedTraceCellMatchesMaterializedCell) {
     EXPECT_EQ(streamed.cells[i].metrics.makespan,
               materialized.cells[i].metrics.makespan);
   }
+  std::filesystem::remove_all(materialized_dir);
+  std::filesystem::remove_all(streamed_dir);
   std::remove(path.c_str());
 }
 
