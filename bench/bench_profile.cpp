@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common.hpp"
 #include "sched/profile.hpp"
@@ -56,22 +57,39 @@ void profile_micro(util::Table& table, bench::JsonReporter& json,
     util::Rng rng(bench::kSeed + std::uint64_t(steps));
     const auto p = make_profile(base, steps, rng);
     std::int64_t sink = 0;
+    // Each rep's query inputs are drawn before the clock starts, so the
+    // rates time the profile queries, not the Rng.
+    struct Query {
+      std::int64_t from = 0;
+      std::int64_t len = 0;
+      std::int64_t procs = 0;
+    };
+    std::vector<Query> queries(static_cast<std::size_t>(query_reps));
+    std::size_t next = 0;
 
     // earliest_start queries (the backfill inner loop).
+    for (auto& q : queries) {
+      q.from = rng.uniform_int(0, 100000);
+      q.len = rng.uniform_int(10, 5000);
+      q.procs = rng.uniform_int(1, base);
+    }
     const double es_per_s = measure_rate(
         [&] {
-          const std::int64_t from = rng.uniform_int(0, 100000);
-          const std::int64_t dur = rng.uniform_int(10, 5000);
-          const std::int64_t procs = rng.uniform_int(1, base);
-          sink += p.earliest_start(from, dur, procs) & 1;
+          const Query& q = queries[next++];
+          sink += p.earliest_start(q.from, q.len, q.procs) & 1;
         },
         query_reps, budget_s);
 
     // min_available window queries.
+    for (auto& q : queries) {
+      q.from = rng.uniform_int(0, 100000);
+      q.len = rng.uniform_int(10, 5000);
+    }
+    next = 0;
     const double ma_per_s = measure_rate(
         [&] {
-          const std::int64_t from = rng.uniform_int(0, 100000);
-          sink += p.min_available(from, from + rng.uniform_int(10, 5000)) & 1;
+          const Query& q = queries[next++];
+          sink += p.min_available(q.from, q.from + q.len) & 1;
         },
         query_reps, budget_s);
 

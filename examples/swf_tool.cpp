@@ -57,20 +57,24 @@
 //                                    (README "Scheduling daemon")
 //   schedulers                       print the policy registry catalogue
 //
-// simulate, stream-simulate and golden-mode validate accept trailing
-// observability flags (all opt-in; see README "Observability"):
-//   --trace <path>        JSONL event trace with provenance
-//   --timeseries <path>   sim-time machine/queue time-series CSV
-//   --sample-every <s>    time-series cadence in sim-seconds
-//   --profile <path>      Chrome trace-event JSON (opens in Perfetto)
+// simulate, stream-simulate, snapshot and golden-mode validate accept
+// trailing flags. Each is another spelling of a sim::SimulationSpec key
+// (sim/spec.hpp), which parses it; the spec's validate() rejects
+// inconsistent combinations. Observability sinks (all opt-in; see
+// README "Observability"):
+//   --trace <path>          trace=         JSONL event trace
+//   --timeseries <path>     timeseries=    sim-time machine/queue CSV
+//   --sample-every <s>      sample_every=  time-series cadence
+//   --profile <path>        profile=       Chrome trace-event JSON
 // plus fault-injection & recovery flags (README "Failure & recovery"):
-//   --faults <seed>       seeded per-node crash schedule (0 disables)
-//   --mtbf <s> --repair <s>          crash-schedule distributions
-//   --checkpoint <s> --dump <s> --read <s>   checkpoint/restart costs
-//   --retry <n> --backoff <s>        drop after n kills, requeue delay
-//   --overrun extend|kill|grace --grace <s>  walltime-overrun policy
-// stream-simulate rejects --faults: the crash schedule needs the
-// workload horizon up front, which a stream cannot provide.
+//   --faults <seed>         faults=        seeded per-node crashes
+//   --mtbf <s> --repair <s> mtbf= repair=  crash-schedule distributions
+//   --checkpoint <s> --dump <s> --read <s>  checkpoint= dump= read=
+//   --retry <n> --backoff <s>               retry_limit= backoff=
+//   --overrun extend|kill|grace --grace <s> overrun= grace=
+// --faults and --sample-every take values >= 1 (omit the flag for the
+// off value). stream-simulate rejects --faults: the crash schedule
+// needs the workload horizon up front, which a stream cannot provide.
 //
 // Scheduler arguments are registry spec strings — quote parameterized
 // variants: swf_tool simulate kth.swf "easy reserve_depth=2".
@@ -185,137 +189,72 @@ int cmd_validate(const std::string& path) {
   return report.clean() ? 0 : 1;
 }
 
-/// Trailing flags shared by simulate, stream-simulate and golden-mode
-/// validate: observability sinks plus fault injection & recovery.
-struct RunFlags {
-  std::string trace;
-  std::string timeseries;
-  std::string profile;
-  std::int64_t sample_every = 0;
-
-  // Fault & recovery knobs mirror the SimulationSpec fields 1:1; the
-  // spec's own validate() rejects inconsistent combinations (e.g.
-  // --mtbf without --faults) with a precise message.
-  std::uint64_t faults = 0;
-  std::int64_t mtbf = -1;    ///< -1: keep the spec default
-  std::int64_t repair = -1;  ///< -1: keep the spec default
-  std::int64_t checkpoint = 0;
-  std::int64_t dump = 0;
-  std::int64_t read = 0;
-  int retry = 0;
-  std::int64_t backoff = 0;
-  std::optional<sim::fault::OverrunPolicy> overrun;
-  std::int64_t grace = 0;
-
-  /// --bless (golden-mode validate only; valueless).
-  bool bless = false;
-
-  bool any_faults() const { return faults != 0; }
-
-  void apply(sim::SimulationSpec& spec) const {
-    if (!trace.empty()) spec.with_trace(trace);
-    if (!timeseries.empty()) spec.with_timeseries(timeseries, sample_every);
-    if (!profile.empty()) spec.with_profile(profile);
-    if (faults != 0) spec.faults = faults;
-    // Set the distributions even without --faults, so spec.validate()
-    // produces its "needs faults=<seed>" message instead of the flags
-    // being silently ignored.
-    if (mtbf > 0) spec.mtbf = mtbf;
-    if (repair > 0) spec.repair = repair;
-    spec.checkpoint = checkpoint;
-    spec.dump = dump;
-    spec.read = read;
-    spec.retry_limit = retry;
-    spec.backoff = backoff;
-    if (overrun) spec.overrun = *overrun;
-    spec.grace = grace;
-  }
+/// Trailing `--flag value` pairs shared by simulate, stream-simulate,
+/// snapshot and golden-mode validate: each flag is another spelling of
+/// a sim::SimulationSpec key, with the CLI's own minimum for integer
+/// values (nullopt: not an integer).
+struct RunFlag {
+  const char* flag;
+  const char* key;
+  std::optional<std::int64_t> min;
+};
+constexpr RunFlag kRunFlags[] = {
+    {"--trace", "trace", std::nullopt},
+    {"--timeseries", "timeseries", std::nullopt},
+    {"--sample-every", "sample_every", 1},
+    {"--profile", "profile", std::nullopt},
+    {"--faults", "faults", 1},
+    {"--mtbf", "mtbf", 1},
+    {"--repair", "repair", 1},
+    {"--checkpoint", "checkpoint", 0},
+    {"--dump", "dump", 0},
+    {"--read", "read", 0},
+    {"--retry", "retry_limit", 0},
+    {"--backoff", "backoff", 0},
+    {"--overrun", "overrun", std::nullopt},
+    {"--grace", "grace", 0},
 };
 
-/// Parse trailing `--flag value` pairs from argv[first..). Returns
-/// false (with a message on stderr) on an unknown flag, a missing
-/// value, or a malformed number; the spec itself rejects the remaining
-/// combinations (e.g. --sample-every without --timeseries, --grace
-/// without --overrun grace) with its own message.
-bool parse_run_flags(int argc, char** argv, int first, RunFlags& out) {
-  // Non-negative integer flags that map straight onto a field.
-  struct IntFlag {
-    const char* name;
-    std::int64_t* field;
-    std::int64_t min;
-  };
-  const IntFlag int_flags[] = {
-      {"--mtbf", &out.mtbf, 1},       {"--repair", &out.repair, 1},
-      {"--checkpoint", &out.checkpoint, 0}, {"--dump", &out.dump, 0},
-      {"--read", &out.read, 0},       {"--backoff", &out.backoff, 0},
-      {"--grace", &out.grace, 0},
-  };
+/// Parse argv[first..) into `spec`; `--bless` (valueless) sets `bless`.
+/// Returns false (with a message on stderr) on an unknown flag, a
+/// missing value, or a value the flag or the spec key refuses; the
+/// caller's spec.validate() (or replay) rejects inconsistent
+/// combinations, e.g. --sample-every without --timeseries or --grace
+/// without --overrun grace.
+bool parse_run_flags(int argc, char** argv, int first,
+                     sim::SimulationSpec& spec, bool& bless) {
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--bless") {
-      out.bless = true;
+      bless = true;
       continue;
+    }
+    const RunFlag* known = nullptr;
+    for (const auto& f : kRunFlags) {
+      if (flag == f.flag) known = &f;
+    }
+    if (!known) {
+      std::cerr << "unknown flag " << flag << "\n";
+      return false;
     }
     if (i + 1 >= argc) {
       std::cerr << flag << " needs a value\n";
       return false;
     }
     const std::string value = argv[++i];
-    if (flag == "--trace") {
-      out.trace = value;
-    } else if (flag == "--timeseries") {
-      out.timeseries = value;
-    } else if (flag == "--profile") {
-      out.profile = value;
-    } else if (flag == "--sample-every") {
+    if (known->min) {
       const auto n = util::parse_i64(value);
-      if (!n || *n < 1) {
-        std::cerr << "--sample-every must be a positive integer "
-                     "(sim-seconds)\n";
+      if (!n || *n < *known->min) {
+        std::cerr << flag << " must be an integer >= " << *known->min
+                  << "\n";
         return false;
       }
-      out.sample_every = *n;
-    } else if (flag == "--faults") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) {
-        std::cerr << "--faults must be a positive seed (omit the flag "
-                     "to disable injection)\n";
-        return false;
-      }
-      out.faults = std::uint64_t(*n);
-    } else if (flag == "--retry") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) {
-        std::cerr << "--retry must be a non-negative integer "
-                     "(0 = retry forever)\n";
-        return false;
-      }
-      out.retry = int(*n);
-    } else if (flag == "--overrun") {
-      const auto policy = sim::fault::overrun_policy_from_name(value);
-      if (!policy) {
-        std::cerr << "--overrun must be extend, kill or grace\n";
-        return false;
-      }
-      out.overrun = *policy;
-    } else {
-      bool matched = false;
-      for (const auto& f : int_flags) {
-        if (flag != f.name) continue;
-        const auto n = util::parse_i64(value);
-        if (!n || *n < f.min) {
-          std::cerr << f.name << " must be an integer >= " << f.min
-                    << " (seconds)\n";
-          return false;
-        }
-        *f.field = *n;
-        matched = true;
-        break;
-      }
-      if (!matched) {
-        std::cerr << "unknown flag " << flag << "\n";
-        return false;
-      }
+    }
+    try {
+      spec.set(known->key, value);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << flag << ": " << e.what() << "\n";
+      return false;
     }
   }
   return true;
@@ -327,12 +266,9 @@ bool parse_run_flags(int argc, char** argv, int first, RunFlags& out) {
 /// feed the same seeded crash schedule the golden was blessed with, so
 /// crashy workloads can be pinned too.
 int cmd_validate_golden(const std::string& path,
-                        const std::string& scheduler,
                         const std::string& golden_path,
-                        const RunFlags& flags) {
-  sim::SimulationSpec spec;
-  spec.scheduler = scheduler;
-  flags.apply(spec);
+                        const sim::SimulationSpec& spec, bool bless) {
+  const std::string& scheduler = spec.scheduler;
   const auto trace = load_or_die(path);
   const std::int64_t nodes =
       trace.header.max_nodes.value_or(sim::kDefaultNodes);
@@ -342,11 +278,10 @@ int cmd_validate_golden(const std::string& path,
   checker_options.nodes = nodes;
   checker_options.scheduler = scheduler;
   // Crash kills are expected interruptions, not invariant violations.
-  checker_options.outages = flags.any_faults();
+  checker_options.outages = spec.faults != 0;
   validate::InvariantChecker checker(checker_options);
   checker.watch(*instance);
   validate::DecisionRecorder recorder;
-  const bool bless = flags.bless;
   sim::replay(trace, std::move(instance), spec,
               sim::ReplayHooks{}.observe(checker).observe(recorder));
 
@@ -515,20 +450,13 @@ int cmd_trace_summary(const std::string& path, std::size_t top_k) {
   return summary.version >= 1 ? 0 : 1;
 }
 
-int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
-                        std::size_t lookahead, const RunFlags& flags) {
-  if (flags.any_faults()) {
+int cmd_stream_simulate(const std::string& path,
+                        const sim::SimulationSpec& spec) {
+  if (spec.faults != 0) {
     std::cerr << "stream-simulate: --faults needs the workload horizon "
                  "up front; use simulate for fault injection\n";
     return 2;
   }
-  // Constant memory: per-job records are not retained; the metrics the
-  // report needs are accumulated online by an attached observer.
-  auto spec = sim::SimulationSpec{}
-                  .with_scheduler(scheduler)
-                  .with_lookahead(lookahead)
-                  .streaming_memory();
-  flags.apply(spec);
   swf::StreamReader source(path);
   if (source.open_failed()) {
     std::cerr << "cannot open " << path << "\n";
@@ -550,7 +478,7 @@ int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
   }
 
   util::Table table({"metric", "value"});
-  table.row().cell("scheduler").cell(scheduler);
+  table.row().cell("scheduler").cell(spec.scheduler);
   table.row().cell("jobs").cell(result.stats.jobs_completed);
   table.row().cell("mean wait (s)").cell(online.mean_wait(), 1);
   table.row().cell("mean bounded slowdown")
@@ -564,8 +492,8 @@ int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
   return 0;
 }
 
-int cmd_simulate(const std::string& path, const std::string& scheduler,
-                 const std::string& rank_metric, const RunFlags& flags) {
+int cmd_simulate(const std::string& path, const sim::SimulationSpec& spec,
+                 const std::string& rank_metric) {
   // Resolve the metric name (same names campaign `rank =` lines use)
   // before the replay, so a typo fails fast instead of costing the
   // whole simulation; it throws with the valid list.
@@ -573,21 +501,19 @@ int cmd_simulate(const std::string& path, const std::string& scheduler,
   if (!rank_metric.empty()) {
     rank = metrics::metric_from_name(rank_metric);
   }
-  auto spec = sim::SimulationSpec{}.with_scheduler(scheduler);
-  flags.apply(spec);
   const auto trace = load_or_die(path);
   const auto result = sim::replay(trace, spec);
   const auto report = metrics::compute_report(result.completed,
                                               result.stats);
   util::Table table({"metric", "value"});
-  table.row().cell("scheduler").cell(scheduler);
+  table.row().cell("scheduler").cell(spec.scheduler);
   table.row().cell("jobs").cell(report.jobs);
   table.row().cell("mean wait (s)").cell(report.mean_wait, 1);
   table.row().cell("mean bounded slowdown")
       .cell(report.mean_bounded_slowdown, 2);
   table.row().cell("p95 wait (s)").cell(report.p95_wait, 1);
   table.row().cell("utilization").cell(report.utilization, 3);
-  if (flags.any_faults() || report.jobs_killed > 0) {
+  if (spec.faults != 0 || report.jobs_killed > 0) {
     table.row().cell("jobs killed").cell(report.jobs_killed);
     table.row().cell("jobs dropped").cell(report.jobs_dropped);
     table.row().cell("mean restarts").cell(report.mean_restarts, 3);
@@ -606,17 +532,14 @@ int cmd_simulate(const std::string& path, const std::string& scheduler,
 /// every decision made before the freeze — is written to
 /// `<out>.decisions` so `resume --golden` can reconstruct the full
 /// trace for comparison against an uninterrupted golden.
-int cmd_snapshot(const std::string& path, const std::string& scheduler,
-                 std::int64_t at_time, const std::string& out,
-                 const RunFlags& flags) {
+int cmd_snapshot(const std::string& path, const sim::SimulationSpec& spec,
+                 std::int64_t at_time, const std::string& out) {
   const auto trace = load_or_die(path);
-  auto spec = sim::SimulationSpec{}.with_scheduler(scheduler);
-  flags.apply(spec);
   spec.validate();
   const auto config = sim::spec_engine_config(
       spec, trace.header.max_nodes.value_or(sim::kDefaultNodes));
 
-  sim::Engine engine(config, sched::make_scheduler(scheduler));
+  sim::Engine engine(config, sched::make_scheduler(spec.scheduler));
   validate::DecisionRecorder recorder;
   engine.add_observer(recorder);
   // Same seeded crash schedule replay() would generate, so a resumed
@@ -778,8 +701,7 @@ int cmd_serve(const std::string& spec_text, int argc, char** argv,
                  "nodes=32\") or --resume <snap>\n";
     return 2;
   } else {
-    auto spec = sim::SimulationSpec::parse(spec_text);
-    spec.validate();
+    const auto spec = sim::SimulationSpec::parse(spec_text);
     engine = std::make_unique<sim::Engine>(
         sim::spec_engine_config(spec,
                                 spec.nodes.value_or(sim::kDefaultNodes)),
@@ -803,9 +725,10 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "validate" && argc == 3) return cmd_validate(argv[2]);
     if (cmd == "validate" && argc >= 5) {
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, 5, flags)) return 2;
-      return cmd_validate_golden(argv[2], argv[3], argv[4], flags);
+      auto spec = sim::SimulationSpec{}.with_scheduler(argv[3]);
+      bool bless = false;
+      if (!parse_run_flags(argc, argv, 5, spec, bless)) return 2;
+      return cmd_validate_golden(argv[2], argv[4], spec, bless);
     }
     if (cmd == "fuzz" && argc >= 3 && argc <= 5 &&
         (std::string(argv[2]) == "parse" ||
@@ -875,11 +798,16 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, next, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_stream_simulate(argv[2], argv[3], std::size_t(lookahead),
-                                 flags);
+      // Constant memory: per-job records are not retained; the metrics
+      // the report needs are accumulated online by an attached observer.
+      auto spec = sim::SimulationSpec{}
+                      .with_scheduler(argv[3])
+                      .with_lookahead(std::size_t(lookahead))
+                      .streaming_memory();
+      bool bless = false;
+      if (!parse_run_flags(argc, argv, next, spec, bless)) return 2;
+      if (bless) return usage();  // --bless is validate-only
+      return cmd_stream_simulate(argv[2], spec);
     }
     if (cmd == "convert-iacct" && argc == 5) {
       return cmd_convert(false, argv[2], argv[3], argv[4]);
@@ -891,10 +819,11 @@ int main(int argc, char** argv) {
       std::string rank_metric;
       int next = 4;
       if (next < argc && argv[next][0] != '-') rank_metric = argv[next++];
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, next, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_simulate(argv[2], argv[3], rank_metric, flags);
+      auto spec = sim::SimulationSpec{}.with_scheduler(argv[3]);
+      bool bless = false;
+      if (!parse_run_flags(argc, argv, next, spec, bless)) return 2;
+      if (bless) return usage();  // --bless is validate-only
+      return cmd_simulate(argv[2], spec, rank_metric);
     }
     if (cmd == "trace-summary" && (argc == 3 || argc == 4)) {
       long long top_k = 10;
@@ -915,10 +844,11 @@ int main(int argc, char** argv) {
                      "(sim-seconds)\n";
         return 2;
       }
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, 6, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_snapshot(argv[2], argv[3], *at_time, argv[5], flags);
+      auto spec = sim::SimulationSpec{}.with_scheduler(argv[3]);
+      bool bless = false;
+      if (!parse_run_flags(argc, argv, 6, spec, bless)) return 2;
+      if (bless) return usage();  // --bless is validate-only
+      return cmd_snapshot(argv[2], spec, *at_time, argv[5]);
     }
     if (cmd == "resume" && (argc == 3 || argc == 5)) {
       std::string golden;

@@ -31,9 +31,10 @@ void CampaignSpec::validate() const {
   if (replications < 1) {
     throw std::invalid_argument("campaign: replications must be >= 1");
   }
-  if (nodes < 0 || nodes > kMaxNodes) {
+  if (nodes < 0 || nodes > sim::kMaxSpecNodes) {
     throw std::invalid_argument(
-        "campaign: nodes must be in [1, " + std::to_string(kMaxNodes) +
+        "campaign: nodes must be in [1, " +
+        std::to_string(sim::kMaxSpecNodes) +
         "], or 0 (auto)");
   }
   for (const auto& w : workloads) {
@@ -88,7 +89,7 @@ void CampaignSpec::validate() const {
               "' injects outages — generating a failure stream needs the "
               "trace horizon up front");
         }
-        if (c.faults) {
+        if (c.engine.faults != 0) {
           throw std::invalid_argument(
               "campaign: workload '" + w.label +
               "' streams but config '" + c.label +
@@ -107,32 +108,11 @@ void CampaignSpec::validate() const {
                                   "' must not contain commas, quotes or "
                                   "newlines");
     }
-    const ConfigSpec defaults;
-    if (!c.faults && (c.mtbf != defaults.mtbf || c.repair != defaults.repair)) {
+    try {
+      c.engine.validate(/*resolve_scheduler=*/false);
+    } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' tunes mtbf/repair without +faults");
-    }
-    if (c.mtbf < 1 || c.repair < 1) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' needs mtbf/repair >= 1");
-    }
-    if (c.checkpoint < 0 || c.dump < 0 || c.read < 0) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' has a negative checkpoint field");
-    }
-    if (c.checkpoint == 0 && (c.dump != 0 || c.read != 0)) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' sets dump/read without a checkpoint "
-                                  "interval");
-    }
-    if (c.retry_limit < 0 || c.backoff < 0 || c.grace < 0) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' has a negative retry/backoff/grace");
-    }
-    if ((c.overrun == sim::fault::OverrunPolicy::kGrace) != (c.grace > 0)) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' pairs grace seconds and overrun:grace "
-                                  "inconsistently");
+                                  "': " + e.what());
     }
   }
   // Axis entries are identified by label/name in every report table;
@@ -155,26 +135,18 @@ void CampaignSpec::validate() const {
     }
   }
   seen.clear();
-  using ConfigKey =
-      std::tuple<bool, bool, bool, bool, bool, std::int64_t, std::int64_t,
-                 std::int64_t, std::int64_t, std::int64_t, int, std::int64_t,
-                 int, std::int64_t>;
-  std::set<ConfigKey> seen_flags;
+  std::set<std::tuple<bool, bool, std::string>> seen_flags;
   for (const auto& c : configs) {
     if (!seen.insert(c.label).second) {
       throw std::invalid_argument("campaign: duplicate config label '" +
                                   c.label + "'");
     }
     // Dedup on semantics too: "closed+outages" and "outages+closed"
-    // are the same engine configuration under different labels, "blind"
-    // changes nothing without an outage stream to announce, and the
-    // fault distributions only act when +faults is on.
-    if (!seen_flags
-             .insert({c.closed_loop, c.outages,
-                      c.outages ? c.deliver_announcements : true, c.validate,
-                      c.faults, c.faults ? c.mtbf : 0,
-                      c.faults ? c.repair : 0, c.checkpoint, c.dump, c.read,
-                      c.retry_limit, c.backoff, int(c.overrun), c.grace})
+    // are the same engine configuration under different labels, and
+    // "blind" changes nothing without an outage stream to announce.
+    sim::SimulationSpec engine = c.engine;
+    if (!c.outages) engine.deliver_announcements = true;
+    if (!seen_flags.insert({c.outages, c.validate, engine.to_string()})
              .second) {
       throw std::invalid_argument(
           "campaign: config '" + c.label +
@@ -290,23 +262,57 @@ WorkloadSpec parse_workload(std::string_view value, std::size_t line) {
   return w;
 }
 
+/// Valued config tokens: `token:V` spells the sim::SimulationSpec key,
+/// with the campaign's own (stricter) minimum for integer values.
+struct ValuedToken {
+  const char* token;
+  const char* key;
+  std::optional<std::int64_t> min;  ///< nullopt: not an integer
+};
+constexpr ValuedToken kValuedTokens[] = {
+    {"mtbf", "mtbf", 1},
+    {"repair", "repair", 1},
+    {"checkpoint", "checkpoint", 1},
+    {"dump", "dump", 0},
+    {"read", "read", 0},
+    {"retry", "retry_limit", 1},
+    {"backoff", "backoff", 1},
+    {"overrun", "overrun", std::nullopt},
+    {"grace", "grace", 1},
+};
+
 ConfigSpec parse_config(std::string_view value, std::size_t line) {
   ConfigSpec c;
   c.label = std::string(util::trim(value));
   if (c.label.empty()) fail(line, "empty config");
   std::optional<bool> loop;  // set by open/closed; contradiction is an error
-  // Valued tokens (`mtbf:86400`) parse through one helper so every
-  // fault/recovery knob shares the same error shape.
-  const auto valued = [&](const std::string& f, const char* name,
-                          std::int64_t min) -> std::optional<std::int64_t> {
-    const std::string prefix = std::string(name) + ":";
-    if (!util::starts_with(f, prefix)) return std::nullopt;
-    const auto n = util::parse_i64(f.substr(prefix.size()));
-    if (!n || *n < min) {
-      fail(line, std::string(name) + ": needs an integer >= " +
-                     std::to_string(min));
+  // Returns false when `f` is not a valued token.
+  const auto set_valued = [&](const std::string& f) {
+    const auto colon = f.find(':');
+    if (colon == std::string::npos) return false;
+    const std::string name = f.substr(0, colon);
+    const std::string v = f.substr(colon + 1);
+    for (const auto& t : kValuedTokens) {
+      if (name != t.token) continue;
+      if (t.min) {
+        const auto n = util::parse_i64(v);
+        if (!n || *n < *t.min) {
+          fail(line,
+               name + ": needs an integer >= " + std::to_string(*t.min));
+        }
+      }
+      try {
+        c.engine.set(t.key, v);
+      } catch (const std::invalid_argument& e) {
+        fail(line, e.what());
+      }
+      // grace:N alone spells the whole overrun policy.
+      if (name == "grace") {
+        c.engine.overrun = sim::fault::OverrunPolicy::kGrace;
+      }
+      return true;
     }
-    return *n;
+    return false;
   };
   for (const auto flag : util::split(c.label, '+')) {
     const std::string f = util::to_lower(util::trim(flag));
@@ -316,49 +322,21 @@ ConfigSpec parse_config(std::string_view value, std::size_t line) {
         fail(line, "config '" + c.label + "' is both open and closed");
       }
       loop = closed;
-      c.closed_loop = closed;
+      c.engine.closed_loop = closed;
     } else if (f == "outages") {
       c.outages = true;
     } else if (f == "blind") {
-      c.deliver_announcements = false;
+      c.engine.deliver_announcements = false;
     } else if (f == "validate") {
       c.validate = true;
     } else if (f == "faults") {
-      c.faults = true;
-    } else if (const auto v = valued(f, "mtbf", 1)) {
-      c.mtbf = *v;
-    } else if (const auto v = valued(f, "repair", 1)) {
-      c.repair = *v;
-    } else if (const auto v = valued(f, "checkpoint", 1)) {
-      c.checkpoint = *v;
-    } else if (const auto v = valued(f, "dump", 0)) {
-      c.dump = *v;
-    } else if (const auto v = valued(f, "read", 0)) {
-      c.read = *v;
-    } else if (const auto v = valued(f, "retry", 1)) {
-      c.retry_limit = int(std::min<std::int64_t>(
-          *v, std::numeric_limits<int>::max()));
-    } else if (const auto v = valued(f, "backoff", 1)) {
-      c.backoff = *v;
-    } else if (const auto v = valued(f, "grace", 1)) {
-      c.grace = *v;
-      c.overrun = sim::fault::OverrunPolicy::kGrace;
-    } else if (util::starts_with(f, "overrun:")) {
-      const auto policy =
-          sim::fault::overrun_policy_from_name(f.substr(8));
-      if (!policy) {
-        fail(line, "overrun: must be extend, kill or grace");
-      }
-      c.overrun = *policy;
-    } else {
+      c.engine.faults = 1;  // run_cell derives the per-cell seed
+    } else if (!set_valued(f)) {
       fail(line, "unknown config flag '" + f +
                      "' (valid: open, closed, outages, blind, validate, "
                      "faults, mtbf:N, repair:N, checkpoint:N, dump:N, "
                      "read:N, retry:N, backoff:N, overrun:P, grace:N)");
     }
-  }
-  if (c.overrun == sim::fault::OverrunPolicy::kGrace && c.grace == 0) {
-    fail(line, "overrun:grace needs grace:N (grace 0 is overrun:kill)");
   }
   return c;
 }

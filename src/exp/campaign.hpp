@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "metrics/aggregate.hpp"
-#include "sim/fault/fault.hpp"
+#include "sim/spec.hpp"
 #include "workload/model.hpp"
 
 namespace pjsb::exp {
@@ -51,39 +51,24 @@ struct WorkloadSpec {
 /// One entry on the engine-configuration axis.
 struct ConfigSpec {
   std::string label = "open";
-  /// Honor trace dependency fields 17/18 (closed-loop feedback).
-  bool closed_loop = false;
   /// Inject a generated random-failure stream (seeded per cell).
   bool outages = false;
-  /// Deliver outage announcements to the scheduler (outage-aware mode).
-  bool deliver_announcements = true;
   /// Attach the validate::InvariantChecker to every cell replay; any
   /// violation fails the campaign (spelled `+validate` in spec files).
   bool validate = false;
-  /// Inject a seeded per-node crash schedule (sim/fault): `+faults` in
-  /// spec files. The per-cell fault seed derives from the cell seed, so
-  /// every scheduler faces the identical crash stream and replications
-  /// sample fresh ones. MTBF and checkpoint interval are first-class
-  /// sweep axes: put several configs with different `faults:mtbf=` /
-  /// `checkpoint=` values on the config axis.
-  bool faults = false;
-  std::int64_t mtbf = 7 * std::int64_t(86400);    ///< per-node MTBF
-  std::int64_t repair = 4 * std::int64_t(3600);   ///< mean repair time
-  /// Recovery knobs forwarded to the engine (meaningful with faults or
-  /// outages; `checkpoint`/`overrun` also act alone on kill paths).
-  std::int64_t checkpoint = 0;  ///< checkpoint interval (0: none)
-  std::int64_t dump = 0;        ///< per-checkpoint dump cost
-  std::int64_t read = 0;        ///< restart restore cost
-  int retry_limit = 0;          ///< kills before dropping (0: unlimited)
-  std::int64_t backoff = 0;     ///< requeue delay after a kill
-  sim::fault::OverrunPolicy overrun = sim::fault::OverrunPolicy::kExtend;
-  std::int64_t grace = 0;       ///< overrun=grace allowance
+  /// Loop mode, announcements and the fault/recovery knobs, as the
+  /// sim::SimulationSpec keys the config tokens spell (`closed` is
+  /// closed_loop=1, `blind` announce=0, `mtbf:N` mtbf=N, ...). Each
+  /// cell's replay spec starts from it and takes the scheduler, the
+  /// machine size, the streaming lookahead and the trace sink from the
+  /// campaign, so leave those at their defaults. `+faults` sets
+  /// faults=1; each cell replaces that with a seed derived from the
+  /// cell seed, so every scheduler faces the identical crash stream and
+  /// replications sample fresh ones. MTBF and checkpoint interval are
+  /// first-class sweep axes: put several configs with different
+  /// `mtbf:` / `checkpoint:` values on the config axis.
+  sim::SimulationSpec engine;
 };
-
-/// Upper bound on the simulated machine size: generous for any real
-/// system while keeping per-node state allocations sane when a spec
-/// fat-fingers `nodes =`.
-inline constexpr std::int64_t kMaxNodes = 1 << 22;  // ~4M nodes
 
 /// The declarative description of a full evaluation campaign.
 struct CampaignSpec {
@@ -115,7 +100,8 @@ struct CampaignSpec {
 
   /// Throws std::invalid_argument if the spec cannot be run (empty
   /// axes, unknown scheduler names, model-less workloads without a
-  /// trace path, non-positive replications/nodes).
+  /// trace path, non-positive replications/nodes, a config whose
+  /// engine settings fail sim::SimulationSpec::validate).
   void validate() const;
 };
 
@@ -157,11 +143,14 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 /// Workload options: `jobs=N`, `load=F`, `label=S`, `stream=0|1`,
 /// `lookahead=N` (streaming ingestion window). Config flags are
 /// '+'-separated: `open` (default), `closed`, `outages`, `blind`
-/// (outages not announced in advance), `faults` (seeded crash
-/// schedule), plus valued tokens `mtbf:N`, `repair:N`, `checkpoint:N`,
-/// `dump:N`, `read:N`, `retry:N`, `backoff:N`, `overrun:extend|kill|
-/// grace`, `grace:N` — e.g. `config = open+faults+mtbf:86400+
-/// checkpoint:3600+retry:3`. `rank = <metric>` selects the
+/// (outages not announced in advance), `validate`, `faults` (seeded
+/// crash schedule), plus valued tokens that spell sim::SimulationSpec
+/// keys: `mtbf:N`, `repair:N`, `checkpoint:N`, `dump:N`, `read:N`,
+/// `retry:N` (retry_limit), `backoff:N`, `overrun:extend|kill|grace`,
+/// `grace:N` (implies overrun:grace) — e.g. `config = open+faults+
+/// mtbf:86400+checkpoint:3600+retry:3`. Valued tokens other than
+/// read/dump need N >= 1; the spec's validate() checks how they
+/// combine. `rank = <metric>` selects the
 /// ranking metric by name (metrics::metric_from_name).
 /// `telemetry = <dir>` turns on per-cell telemetry. Scheduler lines
 /// take full registry spec strings, and workload option lines share the

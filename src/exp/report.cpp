@@ -229,26 +229,27 @@ std::string to_json(const CampaignRun& run, const CampaignReport& report) {
   out << "],\n    \"configs\": [";
   for (std::size_t i = 0; i < spec.configs.size(); ++i) {
     const auto& c = spec.configs[i];
+    const auto& e = c.engine;
     if (i) out << ", ";
     out << "{\"label\": \"" << json_escape(c.label)
-        << "\", \"closed_loop\": " << (c.closed_loop ? "true" : "false")
+        << "\", \"closed_loop\": " << (e.closed_loop ? "true" : "false")
         << ", \"outages\": " << (c.outages ? "true" : "false")
         << ", \"deliver_announcements\": "
-        << (c.deliver_announcements ? "true" : "false")
-        << ", \"faults\": " << (c.faults ? "true" : "false");
-    if (c.faults) {
-      out << ", \"mtbf\": " << c.mtbf << ", \"repair\": " << c.repair;
+        << (e.deliver_announcements ? "true" : "false")
+        << ", \"faults\": " << (e.faults != 0 ? "true" : "false");
+    if (e.faults != 0) {
+      out << ", \"mtbf\": " << e.mtbf << ", \"repair\": " << e.repair;
     }
-    if (c.checkpoint > 0) {
-      out << ", \"checkpoint\": " << c.checkpoint << ", \"dump\": " << c.dump
-          << ", \"read\": " << c.read;
+    if (e.checkpoint > 0) {
+      out << ", \"checkpoint\": " << e.checkpoint << ", \"dump\": " << e.dump
+          << ", \"read\": " << e.read;
     }
-    if (c.retry_limit > 0) out << ", \"retry_limit\": " << c.retry_limit;
-    if (c.backoff > 0) out << ", \"backoff\": " << c.backoff;
-    if (c.overrun != sim::fault::OverrunPolicy::kExtend) {
-      out << ", \"overrun\": \"" << sim::fault::overrun_policy_name(c.overrun)
+    if (e.retry_limit > 0) out << ", \"retry_limit\": " << e.retry_limit;
+    if (e.backoff > 0) out << ", \"backoff\": " << e.backoff;
+    if (e.overrun != sim::fault::OverrunPolicy::kExtend) {
+      out << ", \"overrun\": \"" << sim::fault::overrun_policy_name(e.overrun)
           << '"';
-      if (c.grace > 0) out << ", \"grace\": " << c.grace;
+      if (e.grace > 0) out << ", \"grace\": " << e.grace;
     }
     out << "}";
   }

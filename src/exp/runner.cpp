@@ -49,22 +49,8 @@ validate::CheckerOptions checker_options_for(const std::string& scheduler,
   options.scheduler = scheduler;
   // Crashes ride the outage mechanism, so they slip promises the same
   // way scheduled outages do.
-  options.outages = cspec.outages || cspec.faults;
+  options.outages = cspec.outages || cspec.engine.faults != 0;
   return options;
-}
-
-/// Copy a config's recovery knobs onto a simulation spec. The fault
-/// seed itself is per-cell (derived from the cell seed) and set by the
-/// materialized path only; streaming workloads reject fault configs at
-/// validate().
-void apply_recovery(const ConfigSpec& cspec, sim::SimulationSpec& sim_spec) {
-  sim_spec.checkpoint = cspec.checkpoint;
-  sim_spec.dump = cspec.dump;
-  sim_spec.read = cspec.read;
-  sim_spec.retry_limit = cspec.retry_limit;
-  sim_spec.backoff = cspec.backoff;
-  sim_spec.overrun = cspec.overrun;
-  sim_spec.grace = cspec.grace;
 }
 
 [[noreturn]] void throw_validation_failure(
@@ -133,7 +119,6 @@ sim::ReplayResult replay_stream(const CampaignSpec& spec,
                                 sim::SimulationSpec sim_spec,
                                 obs::TelemetryRegistry* telemetry) {
   sim_spec.lookahead = wspec.lookahead;
-  sim_spec.recycle_slots = true;
   // Node resolution is replay()'s: the source header's MaxNodes (the
   // generator writes machine_nodes there) or kDefaultNodes, unless the
   // spec pins a size.
@@ -242,11 +227,8 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
   // cells also write a per-cell trace sink.
   obs::TelemetryRegistry telemetry;
   obs::TelemetryRegistry* registry = nullptr;
-  sim::SimulationSpec sim_spec;
+  sim::SimulationSpec sim_spec = cspec.engine;
   sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  sim_spec.closed_loop = cspec.closed_loop;
-  sim_spec.deliver_announcements = cspec.deliver_announcements;
-  apply_recovery(cspec, sim_spec);
   if (!spec.telemetry_dir.empty()) {
     registry = &telemetry;
     sim_spec.with_trace(cell_trace_path(spec, cell));
@@ -287,14 +269,12 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
     // 2. Engine configuration, including a per-cell outage stream (a
     // runtime attachment, so it rides in the hooks, not the spec).
     sim_spec.nodes = nodes;
-    if (cspec.faults) {
+    if (sim_spec.faults != 0) {
       // Per-cell crash stream: pure function of the cell seed, so every
       // scheduler/config faces the same crashes (common random numbers)
       // and replications sample fresh ones — at any thread count.
       const std::uint64_t fault_seed = util::derive_seed(cell.seed, 0xFA);
       sim_spec.faults = fault_seed != 0 ? fault_seed : 1;
-      sim_spec.mtbf = cspec.mtbf;
-      sim_spec.repair = cspec.repair;
     }
     sim::ReplayHooks hooks;
     outage::OutageLog outages;
@@ -348,7 +328,7 @@ CampaignRun run_campaign(const CampaignSpec& spec,
   const auto seed_independent = [&](const CellSpec& cell) {
     return !spec.workloads[cell.workload].model &&
            !spec.configs[cell.config].outages &&
-           !spec.configs[cell.config].faults;
+           spec.configs[cell.config].engine.faults == 0;
   };
   std::vector<std::size_t> work;
   work.reserve(cells.size());

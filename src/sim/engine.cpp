@@ -194,7 +194,7 @@ std::vector<SimJob> Engine::bound_history() {
 
 void Engine::record_finished(std::int64_t id, std::int64_t end_time) {
   if (!config_.closed_loop) return;
-  while (finished_order_.size() >= source_opts_.closed_loop_history &&
+  while (finished_order_.size() >= kClosedLoopHistory &&
          !finished_order_.empty()) {
     finished_end_.erase(finished_order_.front());
     finished_order_.pop_front();

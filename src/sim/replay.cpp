@@ -14,7 +14,6 @@ EngineConfig spec_engine_config(const SimulationSpec& spec,
   config.closed_loop = spec.closed_loop;
   config.deliver_announcements = spec.deliver_announcements;
   config.retain_completed = spec.retain_completed;
-  config.recycle_slots = spec.recycle_slots;
   config.recovery = spec.recovery_config();
   return config;
 }
@@ -73,6 +72,11 @@ ReplayResult replay(const swf::Trace& trace,
         "replay: max_jobs is a streaming-source brake; a materialized "
         "trace replays whole");
   }
+  if (!spec.retain_completed) {
+    throw std::invalid_argument(
+        "replay: retain_completed=0 drops the per-job records of a trace "
+        "whose every slot stays in memory; stream it to recycle slots");
+  }
   const auto config =
       spec_engine_config(spec, trace.header.max_nodes.value_or(kDefaultNodes));
   return run_replay(config, std::move(scheduler), spec, hooks,
@@ -100,8 +104,11 @@ ReplayResult replay(swf::JobSource& source,
         "replay: fault injection needs the workload horizon up front; "
         "faults= is not available on streaming sources");
   }
-  const auto config = spec_engine_config(
+  // A stream's terminated jobs are never looked up again, so their
+  // slots are always recycled: memory stays O(running+queued+lookahead).
+  auto config = spec_engine_config(
       spec, source.header().max_nodes.value_or(kDefaultNodes));
+  config.recycle_slots = true;
   JobSourceOptions source_options;
   source_options.lookahead = spec.lookahead;
   source_options.max_jobs = spec.max_jobs;

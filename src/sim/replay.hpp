@@ -70,12 +70,14 @@ struct ReplayResult {
 
 /// Replay `trace` under `spec` (the scheduler is built from
 /// spec.scheduler via the registry). Throws std::invalid_argument on
-/// an invalid spec or a nonzero spec.max_jobs (a streaming-only brake).
+/// an invalid spec, a nonzero spec.max_jobs (a streaming-only brake) or
+/// retain_completed=0 (a trace replay keeps every job's slot).
 ReplayResult replay(const swf::Trace& trace, const SimulationSpec& spec,
                     const ReplayHooks& hooks = {});
 
 /// Replay a pull-based job source under `spec` in bounded memory;
-/// drains (up to spec.max_jobs of) the source.
+/// drains (up to spec.max_jobs of) the source. Terminated jobs' slots
+/// are always recycled (EngineConfig::recycle_slots).
 ReplayResult replay(swf::JobSource& source, const SimulationSpec& spec,
                     const ReplayHooks& hooks = {});
 

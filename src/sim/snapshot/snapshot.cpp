@@ -273,7 +273,7 @@ std::string Engine::snapshot() const {
   w.boolean(source_ != nullptr || source_pending_resume_);
   w.u64(source_opts_.lookahead);
   w.u64(source_opts_.max_jobs);
-  w.u64(source_opts_.closed_loop_history);
+  w.u64(kClosedLoopHistory);
   w.u64(source_pulled_);
   w.u64(source_clamped_);
   w.u64(pending_submits_);
@@ -437,7 +437,10 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   source_pending_resume_ = r.boolean();
   source_opts_.lookahead = std::size_t(r.u64());
   source_opts_.max_jobs = r.u64();
-  source_opts_.closed_loop_history = std::size_t(r.u64());
+  if (r.u64() != kClosedLoopHistory) {
+    throw std::runtime_error("snapshot: closed-loop history bound differs "
+                             "from this build's");
+  }
   source_pulled_ = r.u64();
   source_clamped_ = r.u64();
   pending_submits_ = std::size_t(r.u64());

@@ -1,5 +1,7 @@
 #include "sim/spec.hpp"
 
+#include <limits>
+#include <set>
 #include <stdexcept>
 
 #include "sched/registry.hpp"
@@ -13,12 +15,14 @@ namespace {
 constexpr const char* kValidKeys =
     "scheduler=<registry spec string>, nodes=<int|auto>, closed_loop=<bool>, "
     "announce=<bool>, lookahead=<int>, max_jobs=<int>, "
-    "retain_completed=<bool>, recycle_slots=<bool>, trace=<path>, "
+    "retain_completed=<bool>, trace=<path>, "
     "timeseries=<path>, sample_every=<int>, profile=<path>, "
     "faults=<seed>, mtbf=<seconds>, repair=<seconds>, "
     "checkpoint=<seconds>, dump=<seconds>, read=<seconds>, "
     "retry_limit=<int>, backoff=<seconds>, overrun=<extend|kill|grace>, "
     "grace=<seconds>";
+
+constexpr std::int64_t kMaxInteger = std::numeric_limits<std::int64_t>::max();
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument("simulation spec: " + message);
@@ -72,7 +76,6 @@ SimulationSpec& SimulationSpec::with_max_jobs(std::uint64_t n) {
 
 SimulationSpec& SimulationSpec::streaming_memory(bool on) {
   retain_completed = !on;
-  recycle_slots = on;
   return *this;
 }
 
@@ -160,11 +163,6 @@ void SimulationSpec::validate(bool resolve_scheduler) const {
     fail("sample_every without timeseries=<path> samples into nowhere; "
          "name the output file");
   }
-  if (!retain_completed && !recycle_slots) {
-    fail("retain_completed=0 without recycle_slots=1 drops the per-job "
-         "records but keeps every slot in memory; enable recycle_slots "
-         "for constant-memory runs");
-  }
   const SimulationSpec defaults;
   if (faults == 0 &&
       (mtbf != defaults.mtbf || repair != defaults.repair)) {
@@ -209,9 +207,6 @@ std::string SimulationSpec::to_string() const {
   if (retain_completed != defaults.retain_completed) {
     s += std::string(" retain_completed=") + (retain_completed ? "1" : "0");
   }
-  if (recycle_slots != defaults.recycle_slots) {
-    s += std::string(" recycle_slots=") + (recycle_slots ? "1" : "0");
-  }
   if (!trace.empty()) s += " trace=" + util::quote_spec_value(trace);
   if (!timeseries.empty()) {
     s += " timeseries=" + util::quote_spec_value(timeseries);
@@ -239,124 +234,81 @@ std::string SimulationSpec::to_string() const {
   return s;
 }
 
+void SimulationSpec::set(const std::string& key, const std::string& value) {
+  // Integer keys share one shape: a clean integer within [min, max],
+  // checked before it is narrowed to the field's type.
+  const auto integer = [&](std::int64_t min,
+                           std::int64_t max = kMaxInteger) {
+    const auto n = util::parse_i64(value);
+    if (!n || *n < min || *n > max) {
+      fail(key + "='" + value + "' must be an integer >= " +
+           std::to_string(min) +
+           (max < kMaxInteger ? " and <= " + std::to_string(max) : ""));
+    }
+    return *n;
+  };
+  if (key == "scheduler") {
+    scheduler = value;
+  } else if (key == "nodes") {
+    if (util::to_lower(value) == "auto") {
+      nodes.reset();
+    } else {
+      const auto n = util::parse_i64(value);
+      if (!n) fail("nodes must be an integer or 'auto'");
+      nodes = *n;
+    }
+  } else if (key == "closed_loop") {
+    closed_loop = parse_bool_or_fail(key, value);
+  } else if (key == "announce") {
+    deliver_announcements = parse_bool_or_fail(key, value);
+  } else if (key == "lookahead") {
+    lookahead = std::size_t(integer(1));
+  } else if (key == "max_jobs") {
+    max_jobs = std::uint64_t(integer(0));
+  } else if (key == "retain_completed") {
+    retain_completed = parse_bool_or_fail(key, value);
+  } else if (key == "trace") {
+    trace = value;
+  } else if (key == "timeseries") {
+    timeseries = value;
+  } else if (key == "sample_every") {
+    sample_every = integer(0);
+  } else if (key == "profile") {
+    profile = value;
+  } else if (key == "faults") {
+    faults = std::uint64_t(integer(0));
+  } else if (key == "mtbf") {
+    mtbf = integer(1);
+  } else if (key == "repair") {
+    repair = integer(1);
+  } else if (key == "checkpoint") {
+    checkpoint = integer(0);
+  } else if (key == "dump") {
+    dump = integer(0);
+  } else if (key == "read") {
+    read = integer(0);
+  } else if (key == "retry_limit") {
+    retry_limit = int(integer(0, std::numeric_limits<int>::max()));
+  } else if (key == "backoff") {
+    backoff = integer(0);
+  } else if (key == "overrun") {
+    const auto policy = fault::overrun_policy_from_name(value);
+    if (!policy) fail("overrun must be extend, kill or grace");
+    overrun = *policy;
+  } else if (key == "grace") {
+    grace = integer(0);
+  } else {
+    fail("unknown key '" + key + "'; valid keys: " + kValidKeys);
+  }
+}
+
 SimulationSpec SimulationSpec::parse(const std::string& text) {
   SimulationSpec spec;
   const auto tokens = util::parse_spec(text, /*allow_head=*/false);
-  bool seen[22] = {};
-  auto once = [&](int idx, const std::string& key) {
-    if (seen[idx]) fail(key + " set twice");
-    seen[idx] = true;
-  };
+  std::set<std::string> seen;
   for (const auto& option : tokens.options) {
-    const std::string& key = option.key;
-    const std::string& value = option.value;
-    if (key == "scheduler") {
-      once(0, key);
-      spec.scheduler = value;
-    } else if (key == "nodes") {
-      once(1, key);
-      if (util::to_lower(value) == "auto") {
-        spec.nodes.reset();
-      } else {
-        const auto n = util::parse_i64(value);
-        if (!n) fail("nodes must be an integer or 'auto'");
-        spec.nodes = *n;
-      }
-    } else if (key == "closed_loop") {
-      once(2, key);
-      spec.closed_loop = parse_bool_or_fail(key, value);
-    } else if (key == "announce") {
-      once(3, key);
-      spec.deliver_announcements = parse_bool_or_fail(key, value);
-    } else if (key == "lookahead") {
-      once(4, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) fail("lookahead must be a positive integer");
-      spec.lookahead = std::size_t(*n);
-    } else if (key == "max_jobs") {
-      once(5, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("max_jobs must be a non-negative integer");
-      spec.max_jobs = std::uint64_t(*n);
-    } else if (key == "retain_completed") {
-      once(6, key);
-      spec.retain_completed = parse_bool_or_fail(key, value);
-    } else if (key == "recycle_slots") {
-      once(7, key);
-      spec.recycle_slots = parse_bool_or_fail(key, value);
-    } else if (key == "trace") {
-      once(8, key);
-      spec.trace = value;
-    } else if (key == "timeseries") {
-      once(9, key);
-      spec.timeseries = value;
-    } else if (key == "sample_every") {
-      once(10, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("sample_every must be a non-negative integer");
-      spec.sample_every = *n;
-    } else if (key == "profile") {
-      once(11, key);
-      spec.profile = value;
-    } else if (key == "faults") {
-      once(12, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) {
-        fail("faults must be a non-negative seed (0 disables)");
-      }
-      spec.faults = std::uint64_t(*n);
-    } else if (key == "mtbf") {
-      once(13, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) fail("mtbf must be a positive number of seconds");
-      spec.mtbf = *n;
-    } else if (key == "repair") {
-      once(14, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) fail("repair must be a positive number of seconds");
-      spec.repair = *n;
-    } else if (key == "checkpoint") {
-      once(15, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) {
-        fail("checkpoint must be a non-negative interval in seconds");
-      }
-      spec.checkpoint = *n;
-    } else if (key == "dump") {
-      once(16, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("dump must be a non-negative number of seconds");
-      spec.dump = *n;
-    } else if (key == "read") {
-      once(17, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("read must be a non-negative number of seconds");
-      spec.read = *n;
-    } else if (key == "retry_limit") {
-      once(18, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("retry_limit must be a non-negative integer");
-      spec.retry_limit = int(*n);
-    } else if (key == "backoff") {
-      once(19, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) {
-        fail("backoff must be a non-negative number of seconds");
-      }
-      spec.backoff = *n;
-    } else if (key == "overrun") {
-      once(20, key);
-      const auto policy = fault::overrun_policy_from_name(value);
-      if (!policy) fail("overrun must be extend, kill or grace");
-      spec.overrun = *policy;
-    } else if (key == "grace") {
-      once(21, key);
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) fail("grace must be a non-negative number of seconds");
-      spec.grace = *n;
-    } else {
-      fail("unknown key '" + key + "'; valid keys: " + kValidKeys);
-    }
+    if (!seen.insert(option.key).second) fail(option.key + " set twice");
+    spec.set(option.key, option.value);
   }
   spec.validate();
   return spec;

@@ -6,11 +6,14 @@
 // a key=value string (util/keyval.hpp grammar):
 //
 //   scheduler='easy reserve_depth=2' nodes=256 closed_loop=1
-//   scheduler=conservative lookahead=8192 max_jobs=100000 recycle_slots=1
+//   scheduler=conservative lookahead=8192 max_jobs=100000 retain_completed=0
 //
-// Experiment campaign cells, swf_tool, and the tests all speak this
-// grammar, so a cell's exact engine configuration can be logged,
-// diffed, and replayed byte-identically from its own to_string().
+// This is the one place an engine setting is named, parsed and
+// checked. Campaign config tokens (`+mtbf:N`) and swf_tool flags
+// (`--mtbf N`) are other spellings of these keys: both feed set() and
+// leave the cross-field rules to validate(). So a cell's exact engine
+// configuration can be logged, diffed, and replayed byte-identically
+// from its own to_string().
 //
 // Runtime-only attachments that cannot live in a string — an outage
 // log, observers — ride in ReplayHooks (replay.hpp).
@@ -46,10 +49,11 @@ struct SimulationSpec {
   /// the brake for unbounded generator streams. Streaming replays
   /// only; replay(trace, ...) rejects a nonzero value.
   std::uint64_t max_jobs = 0;
-  /// Keep per-job records in ReplayResult::completed. Turn off together
-  /// with recycle_slots for O(running+queued+lookahead) memory.
+  /// Keep per-job records in ReplayResult::completed. Streaming
+  /// replays always recycle terminated jobs' slots, so turning this off
+  /// there gives O(running+queued+lookahead) memory; replay(trace, ...)
+  /// keeps every slot and rejects retain_completed=0.
   bool retain_completed = true;
-  bool recycle_slots = false;
 
   // Observability sinks (src/obs/). All opt-in; empty paths mean the
   // replay runs with zero instrumentation attached.
@@ -92,7 +96,7 @@ struct SimulationSpec {
   SimulationSpec& announce_outages(bool on);
   SimulationSpec& with_lookahead(std::size_t n);
   SimulationSpec& with_max_jobs(std::uint64_t n);
-  SimulationSpec& streaming_memory(bool on = true);  ///< retain off + recycle
+  SimulationSpec& streaming_memory(bool on = true);  ///< retain off
   SimulationSpec& with_trace(std::string path);
   SimulationSpec& with_timeseries(std::string path,
                                   std::int64_t every = 0);
@@ -114,13 +118,14 @@ struct SimulationSpec {
   fault::RecoveryConfig recovery_config() const;
 
   /// Reject nonsense: empty or unresolvable scheduler spec, nodes out
-  /// of [1, kMaxSpecNodes], zero lookahead, or retain_completed=false
-  /// without recycle_slots (per-job records dropped while slots still
-  /// accumulate — all of the memory cost for none of the output).
-  /// Throws std::invalid_argument. `resolve_scheduler=false` skips the
-  /// registry lookup — the replay overloads that take a caller-built
-  /// scheduler instance use it, so `scheduler` may carry any label
-  /// (e.g. a custom policy's name) for logging purposes.
+  /// of [1, kMaxSpecNodes], zero lookahead, and every inconsistent
+  /// combination of the sink and fault/recovery fields (e.g. mtbf
+  /// without faults, dump without checkpoint, grace without
+  /// overrun=grace). Throws std::invalid_argument.
+  /// `resolve_scheduler=false` skips the registry lookup — the replay
+  /// overloads that take a caller-built scheduler instance use it, so
+  /// `scheduler` may carry any label (e.g. a custom policy's name) for
+  /// logging purposes.
   void validate(bool resolve_scheduler = true) const;
 
   /// Round-trippable form: `scheduler=<quoted>` plus every field that
@@ -128,9 +133,14 @@ struct SimulationSpec {
   /// reproduces the spec exactly.
   std::string to_string() const;
 
-  /// Parse a spec string (all key=value; see to_string). Unknown keys,
-  /// repeated keys and malformed values throw std::invalid_argument
-  /// naming the valid keys. The result is validated.
+  /// Set one field from its key=value spelling. An unknown key (the
+  /// message names the valid ones) or a malformed or out-of-range value
+  /// throws std::invalid_argument; cross-field rules wait for
+  /// validate().
+  void set(const std::string& key, const std::string& value);
+
+  /// Parse a spec string (all key=value; see to_string): set() on each
+  /// token, then validate(). Repeated keys throw std::invalid_argument.
   static SimulationSpec parse(const std::string& text);
 };
 

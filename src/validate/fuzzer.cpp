@@ -169,27 +169,14 @@ outage::OutageLog fuzz_outages(std::uint64_t seed, std::int64_t nodes,
 
 namespace {
 
-/// A randomized fault-injection plan: the spec-surface fields the
-/// faults variant copies onto its SimulationSpec. One per workload, so
+/// A randomized fault-injection plan: the fault and recovery fields of
+/// the spec the faults variant replays under. One per workload, so
 /// every policy faces the identical crash schedule.
-struct FaultPlan {
-  std::uint64_t seed = 1;
-  std::int64_t mtbf = 0;
-  std::int64_t repair = 0;
-  std::int64_t checkpoint = 0;
-  std::int64_t dump = 0;
-  std::int64_t read = 0;
-  int retry_limit = 0;
-  std::int64_t backoff = 0;
-  sim::fault::OverrunPolicy overrun = sim::fault::OverrunPolicy::kExtend;
-  std::int64_t grace = 0;
-};
-
-FaultPlan fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
-                          std::int64_t horizon) {
+sim::SimulationSpec fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
+                                    std::int64_t horizon) {
   util::Rng rng(seed);
-  FaultPlan plan;
-  plan.seed = seed != 0 ? seed : 1;
+  sim::SimulationSpec plan;
+  plan.faults = seed != 0 ? seed : 1;
   // Aim for a handful of crashes across the whole machine: the
   // expected count over the horizon is nodes * horizon / mtbf.
   const std::int64_t span = std::max<std::int64_t>(horizon, 1000);
@@ -214,7 +201,8 @@ FaultPlan fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
 }
 
 void fuzz_one(const std::string& spec_string, const swf::Trace& trace,
-              const outage::OutageLog* outages, const FaultPlan* faults,
+              const outage::OutageLog* outages,
+              const sim::SimulationSpec* faults,
               int workload, std::uint64_t workload_seed,
               const FuzzOptions& options, bool stream, const char* variant,
               FuzzReport& report) {
@@ -230,21 +218,9 @@ void fuzz_one(const std::string& spec_string, const swf::Trace& trace,
     InvariantChecker checker(checker_options);
     checker.watch(*scheduler);
 
-    sim::SimulationSpec spec;
+    sim::SimulationSpec spec = faults ? *faults : sim::SimulationSpec{};
     spec.scheduler = spec_string;
     spec.nodes = options.nodes;
-    if (faults) {
-      spec.faults = faults->seed;
-      spec.mtbf = faults->mtbf;
-      spec.repair = faults->repair;
-      spec.checkpoint = faults->checkpoint;
-      spec.dump = faults->dump;
-      spec.read = faults->read;
-      spec.retry_limit = faults->retry_limit;
-      spec.backoff = faults->backoff;
-      spec.overrun = faults->overrun;
-      spec.grace = faults->grace;
-    }
     sim::ReplayHooks hooks;
     hooks.observe(checker);
     if (outages) hooks.with_outages(*outages);
@@ -288,7 +264,7 @@ FuzzReport run_fuzzer(const FuzzOptions& options) {
                                                std::uint64_t(w) + 1000),
                              options.nodes, trace.horizon());
     }
-    FaultPlan fault_plan;
+    sim::SimulationSpec fault_plan;
     if (options.fault_runs) {
       fault_plan = fuzz_fault_plan(util::derive_seed(options.seed,
                                                      std::uint64_t(w) + 2000),

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <utility>
 #include <stdexcept>
 
 #include <cstdio>
@@ -183,9 +185,9 @@ nodes = 256
   ASSERT_EQ(spec.schedulers.size(), 2u);
   EXPECT_EQ(spec.schedulers[1], "gang8");
   ASSERT_EQ(spec.configs.size(), 1u);
-  EXPECT_TRUE(spec.configs[0].closed_loop);
+  EXPECT_TRUE(spec.configs[0].engine.closed_loop);
   EXPECT_TRUE(spec.configs[0].outages);
-  EXPECT_FALSE(spec.configs[0].deliver_announcements);
+  EXPECT_FALSE(spec.configs[0].engine.deliver_announcements);
   EXPECT_EQ(spec.replications, 3);
   EXPECT_EQ(spec.master_seed, 99u);
   EXPECT_EQ(spec.nodes, 256);
@@ -349,7 +351,7 @@ TEST(CampaignSpec, ParseDefaultsToOneOpenConfig) {
       "workload = jann97 jobs=10\nscheduler = fcfs\n");
   ASSERT_EQ(spec.configs.size(), 1u);
   EXPECT_EQ(spec.configs[0].label, "open");
-  EXPECT_FALSE(spec.configs[0].closed_loop);
+  EXPECT_FALSE(spec.configs[0].engine.closed_loop);
   EXPECT_FALSE(spec.configs[0].outages);
 }
 
@@ -888,19 +890,67 @@ TEST(SpecParser, ParsesFaultConfigTokens) {
       "config = open+faults+grace:120\n");
   ASSERT_EQ(spec.configs.size(), 3u);
   const auto& c = spec.configs[0];
-  EXPECT_TRUE(c.faults);
-  EXPECT_EQ(c.mtbf, 9000);
-  EXPECT_EQ(c.repair, 600);
-  EXPECT_EQ(c.checkpoint, 300);
-  EXPECT_EQ(c.dump, 20);
-  EXPECT_EQ(c.read, 40);
-  EXPECT_EQ(c.retry_limit, 3);
-  EXPECT_EQ(c.backoff, 60);
-  EXPECT_EQ(c.overrun, sim::fault::OverrunPolicy::kExtend);
-  EXPECT_EQ(spec.configs[1].overrun, sim::fault::OverrunPolicy::kKill);
+  EXPECT_EQ(c.engine.faults, 1u);  // run_cell derives the real seed
+  EXPECT_EQ(c.engine.mtbf, 9000);
+  EXPECT_EQ(c.engine.repair, 600);
+  EXPECT_EQ(c.engine.checkpoint, 300);
+  EXPECT_EQ(c.engine.dump, 20);
+  EXPECT_EQ(c.engine.read, 40);
+  EXPECT_EQ(c.engine.retry_limit, 3);
+  EXPECT_EQ(c.engine.backoff, 60);
+  EXPECT_EQ(c.engine.overrun, sim::fault::OverrunPolicy::kExtend);
+  EXPECT_EQ(spec.configs[1].engine.overrun, sim::fault::OverrunPolicy::kKill);
   // grace:N implies overrun:grace.
-  EXPECT_EQ(spec.configs[2].overrun, sim::fault::OverrunPolicy::kGrace);
-  EXPECT_EQ(spec.configs[2].grace, 120);
+  EXPECT_EQ(spec.configs[2].engine.overrun, sim::fault::OverrunPolicy::kGrace);
+  EXPECT_EQ(spec.configs[2].engine.grace, 120);
+}
+
+TEST(SpecParser, ConfigTokensSpellSpecKeys) {
+  // Every config token is another spelling of a SimulationSpec key: the
+  // config's engine prints exactly what the key itself parses to.
+  const std::pair<const char*, const char*> cases[] = {
+      {"open", ""},
+      {"closed", "closed_loop=1"},
+      {"blind", "announce=0"},
+      {"faults", "faults=1"},
+      {"faults+mtbf:9000", "faults=1 mtbf=9000"},
+      {"faults+repair:600", "faults=1 repair=600"},
+      {"checkpoint:300", "checkpoint=300"},
+      {"checkpoint:300+dump:20", "checkpoint=300 dump=20"},
+      {"checkpoint:300+read:40", "checkpoint=300 read=40"},
+      {"retry:3", "retry_limit=3"},
+      {"backoff:60", "backoff=60"},
+      {"overrun:kill", "overrun=kill"},
+      {"grace:120", "overrun=grace grace=120"},
+  };
+  for (const auto& [tokens, keys] : cases) {
+    const auto spec = parse_campaign_spec_string(
+        std::string("workload = lublin99 jobs=40\nscheduler = fcfs\n"
+                    "config = ") +
+        tokens + "\n");
+    EXPECT_EQ(spec.configs.at(0).engine.to_string(),
+              sim::SimulationSpec::parse(std::string("scheduler=fcfs ") +
+                                         keys)
+                  .to_string())
+        << tokens;
+  }
+}
+
+TEST(SpecParser, RetryBeyondIntRangeIsRejected) {
+  // retry:N is retry_limit=N: a count past INT_MAX is refused, not
+  // clamped (or narrowed, as 2^32 + 1 -> 1 would be).
+  const std::string head = "workload = lublin99 jobs=40\nscheduler = fcfs\n";
+  EXPECT_THROW(parse_campaign_spec_string(
+                   head + "config = open+faults+retry:4294967297\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      parse_campaign_spec_string(head + "config = open+retry:2147483648\n"),
+      std::invalid_argument);
+  EXPECT_EQ(
+      parse_campaign_spec_string(head + "config = open+retry:2147483647\n")
+          .configs.at(0)
+          .engine.retry_limit,
+      std::numeric_limits<int>::max());
 }
 
 TEST(SpecParser, RejectsFaultNonsense) {
@@ -936,17 +986,17 @@ TEST(CampaignSpec, FaultFlagsDeduplicateOnSemantics) {
   auto spec = small_spec();
   ConfigSpec a;
   a.label = "open+faults+checkpoint:300";
-  a.faults = true;
-  a.checkpoint = 300;
+  a.engine.faults = 1;
+  a.engine.checkpoint = 300;
   ConfigSpec b;  // same engine configuration, different label spelling
   b.label = "faults+open+checkpoint:300";
-  b.faults = true;
-  b.checkpoint = 300;
+  b.engine.faults = 1;
+  b.engine.checkpoint = 300;
   spec.configs = {a, b};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Different checkpoint intervals are a legitimate sweep axis.
   b.label = "open+faults+checkpoint:600";
-  b.checkpoint = 600;
+  b.engine.checkpoint = 600;
   spec.configs = {a, b};
   EXPECT_NO_THROW(spec.validate());
   // Two default configs under different labels are still one cell.
@@ -970,13 +1020,9 @@ TEST(Runner, FaultCampaignDeterministicAcrossThreadCounts) {
   ConfigSpec faulty;
   faulty.label = "open+faults+mtbf:30000+repair:900+checkpoint:600"
                  "+dump:10+read:20+retry:4";
-  faulty.faults = true;
-  faulty.mtbf = 30000;
-  faulty.repair = 900;
-  faulty.checkpoint = 600;
-  faulty.dump = 10;
-  faulty.read = 20;
-  faulty.retry_limit = 4;
+  faulty.engine.with_faults(1, 30000, 900)
+      .with_checkpointing(600, 10, 20)
+      .with_retry(4);
   ConfigSpec validated = faulty;
   validated.label = faulty.label + "+validate";
   validated.validate = true;

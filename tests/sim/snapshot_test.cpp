@@ -6,6 +6,7 @@
 // so byte-identical CSVs mean byte-identical simulations.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "sim/engine.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/replay.hpp"
+#include "sim/snapshot/codec.hpp"
 #include "sim/snapshot/snapshot.hpp"
 #include "validate/decisions.hpp"
 #include "validate/fuzzer.hpp"
@@ -230,6 +232,20 @@ TEST(Snapshot, RejectsCorruptHeaderAndTruncation) {
   auto trailing = bytes;
   trailing.push_back('\0');
   EXPECT_THROW((void)Engine::restore(trailing), std::runtime_error);
+
+  // The source cursor records the closed-loop history bound, a build
+  // constant: a snapshot written under another bound does not restore.
+  snapshot::Writer cursor;
+  cursor.u64(std::numeric_limits<std::uint64_t>::max());  // eager lookahead
+  cursor.u64(0);                                           // max_jobs
+  cursor.u64(Engine::kClosedLoopHistory);
+  const auto at = bytes.find(cursor.bytes());
+  ASSERT_NE(at, std::string::npos);
+  snapshot::Writer other;
+  other.u64(Engine::kClosedLoopHistory / 2);
+  auto other_bound = bytes;
+  other_bound.replace(at + 16, 8, other.bytes());
+  EXPECT_THROW((void)Engine::restore(other_bound), std::runtime_error);
 }
 
 TEST(Snapshot, StreamingSnapshotDemandsItsSourceBack) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,7 +45,6 @@ TEST(SimulationSpec, EveryFieldRoundTrips) {
   spec.lookahead = 512;
   spec.max_jobs = 100000;
   spec.retain_completed = false;
-  spec.recycle_slots = true;
 
   const std::string text = spec.to_string();
   // The embedded scheduler spec contains a space, so it must be quoted.
@@ -59,7 +59,6 @@ TEST(SimulationSpec, EveryFieldRoundTrips) {
   EXPECT_EQ(parsed.lookahead, spec.lookahead);
   EXPECT_EQ(parsed.max_jobs, spec.max_jobs);
   EXPECT_EQ(parsed.retain_completed, spec.retain_completed);
-  EXPECT_EQ(parsed.recycle_slots, spec.recycle_slots);
   EXPECT_EQ(parsed.to_string(), text);
 }
 
@@ -183,7 +182,6 @@ TEST(SimulationSpec, BuilderChains) {
   EXPECT_TRUE(spec.closed_loop);
   EXPECT_EQ(spec.lookahead, 64u);
   EXPECT_FALSE(spec.retain_completed);
-  EXPECT_TRUE(spec.recycle_slots);
   EXPECT_NO_THROW(spec.validate());
 }
 
@@ -202,12 +200,35 @@ TEST(SimulationSpec, ValidateRejectsNonsense) {
   // Zero lookahead jams the ingestion window shut.
   EXPECT_THROW(SimulationSpec{}.with_lookahead(0).validate(),
                std::invalid_argument);
-  // Dropping records while retaining every slot: all the memory cost,
-  // none of the output.
+}
+
+TEST(SimulationSpec, TraceReplayRejectsDroppedRecords) {
+  // Streams always recycle slots, so retain_completed=0 is their whole
+  // constant-memory switch. A trace replay keeps every slot: dropping
+  // the records there is all of the memory cost for none of the output.
   SimulationSpec leaky;
   leaky.retain_completed = false;
-  leaky.recycle_slots = false;
-  EXPECT_THROW(leaky.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(leaky.validate());
+  EXPECT_THROW(replay(small_trace(), leaky), std::invalid_argument);
+  // Recycling is derived from the replay path, not a key.
+  try {
+    SimulationSpec::parse("scheduler=easy recycle_slots=1");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimulationSpec, RetryLimitBeyondIntRangeIsRejected) {
+  // 2^32 + 1 used to narrow to a retry limit of 1.
+  EXPECT_THROW(
+      SimulationSpec::parse("scheduler=easy faults=1 retry_limit=4294967297"),
+      std::invalid_argument);
+  SimulationSpec spec;
+  EXPECT_THROW(spec.set("retry_limit", "2147483648"), std::invalid_argument);
+  spec.set("retry_limit", "2147483647");
+  EXPECT_EQ(spec.retry_limit, std::numeric_limits<int>::max());
 }
 
 TEST(SimulationSpec, ParseRejectsMalformedInput) {

@@ -52,14 +52,15 @@ std::string replay_inmem_csv(const swf::Trace& trace,
 
 std::string replay_stream_csv(const swf::Trace& trace,
                               const std::string& scheduler,
-                              std::size_t lookahead, bool bounded_memory) {
+                              std::size_t lookahead) {
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
   swf::StreamReader source(std::move(in), "test");
 
-  auto spec = SimulationSpec{}.with_scheduler(scheduler).with_lookahead(
-      lookahead);
-  if (bounded_memory) spec.streaming_memory();
+  const auto spec = SimulationSpec{}
+                        .with_scheduler(scheduler)
+                        .with_lookahead(lookahead)
+                        .streaming_memory();
   std::ostringstream csv;
   CompletionCsvObserver observer(csv, /*header=*/false);
   replay(source, spec, ReplayHooks{}.observe(observer));
@@ -73,8 +74,7 @@ TEST(StreamReplay, ByteIdenticalDecisionsAcrossLookaheads) {
     ASSERT_FALSE(expected.empty());
     for (const std::size_t lookahead : {std::size_t(1), std::size_t(16),
                                         std::size_t(100000)}) {
-      EXPECT_EQ(replay_stream_csv(trace, scheduler, lookahead, false),
-                expected)
+      EXPECT_EQ(replay_stream_csv(trace, scheduler, lookahead), expected)
           << scheduler << " lookahead=" << lookahead;
     }
   }
@@ -112,7 +112,6 @@ TEST(StreamReplay, MaxJobsBoundsAnUnboundedGeneratorSource) {
 
   SimulationSpec replay_spec;
   replay_spec.with_scheduler("easy").with_max_jobs(300).with_lookahead(32);
-  replay_spec.recycle_slots = true;
   replay_spec.retain_completed = false;
   const auto result = replay(source, replay_spec);
   EXPECT_EQ(result.source_pulled, 300u);
@@ -121,7 +120,7 @@ TEST(StreamReplay, MaxJobsBoundsAnUnboundedGeneratorSource) {
 
 TEST(StreamReplay, GeneratorSourceReplayIsDeterministic) {
   // A generator stream is deterministic in its seed: two replays of the
-  // same spec make byte-identical decisions, bounded-memory or not.
+  // same spec make byte-identical decisions.
   constexpr std::size_t kJobs = 800;
   workload::GeneratorSpec spec;
   spec.kind = workload::ModelKind::kLublin99;
@@ -130,24 +129,24 @@ TEST(StreamReplay, GeneratorSourceReplayIsDeterministic) {
   spec.seed = 31;
   spec.max_jobs = kJobs;
 
-  const auto run = [&spec](bool bounded) {
+  const auto run = [&spec]() {
     workload::ModelJobSource source(spec);
     std::string csv;
     auto observer = csv_into(csv);
-    auto replay_spec = SimulationSpec{}.with_scheduler("easy")
-                           .with_nodes(64)
-                           .with_lookahead(64);
-    if (bounded) replay_spec.streaming_memory();
-    replay(source, replay_spec, ReplayHooks{}.observe(observer));
+    replay(source,
+           SimulationSpec{}
+               .with_scheduler("easy")
+               .with_nodes(64)
+               .with_lookahead(64)
+               .streaming_memory(),
+           ReplayHooks{}.observe(observer));
     return csv;
   };
 
-  const auto a = run(true);
-  const auto b = run(true);
-  const auto c = run(false);
+  const auto a = run();
+  const auto b = run();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);  // slot recycling must not change any decision
 }
 
 swf::Trace dependency_trace() {
@@ -230,15 +229,30 @@ TEST(StreamReplay, ClosedLoopLatePullResolvesViaResidentPredecessor) {
   dep.think_time = 5;
   trace.records.push_back(dep);
 
-  const auto text = swf::write_swf_string(trace);
-  auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
-  const auto result = replay(
-      source,
+  // replay() recycles slots, so it can only exercise the recorded-end
+  // history; an engine built without recycling keeps the predecessor's
+  // slot resident.
+  EngineConfig config;
+  config.nodes = 4;
+  config.closed_loop = true;
+  Engine engine(config, sched::make_scheduler("fcfs"));
+  swf::TraceSource resident_source(trace);
+  JobSourceOptions options;
+  options.lookahead = 1;
+  engine.set_job_source(resident_source, options);
+  engine.run();
+
+  swf::TraceSource recycled_source(trace);
+  const auto recycled = replay(
+      recycled_source,
       SimulationSpec{}.with_scheduler("fcfs").closed().with_lookahead(1));
 
-  ASSERT_EQ(result.stats.jobs_completed, 7);
-  for (const auto& c : result.completed) {
+  ASSERT_EQ(engine.stats().jobs_completed, 7);
+  ASSERT_EQ(recycled.stats.jobs_completed, 7);
+  ASSERT_EQ(engine.completed().size(), recycled.completed.size());
+  for (std::size_t i = 0; i < recycled.completed.size(); ++i) {
+    const auto& c = engine.completed()[i];
+    EXPECT_EQ(c.submit, recycled.completed[i].submit) << c.id;
     if (c.id == 7) {
       // Predecessor ended at 10; 10 + think 5 = 15 is in the past when
       // the record is pulled (clock is at ~1000), so it submits "now" —
