@@ -41,7 +41,7 @@ std::optional<std::int64_t> Site::earliest_reservation(
     std::int64_t from, std::int64_t duration, std::int64_t procs) const {
   if (!backfill_ || procs > config_.nodes) return std::nullopt;
   const std::int64_t t = backfill_->earliest_reservation_start(
-      engine_->now(), from, duration, procs, config_.nodes);
+      engine_->now(), from, duration, procs);
   if (t >= sched::kForever) return std::nullopt;
   return t;
 }

@@ -15,9 +15,8 @@ void BackfillBase::on_attach(SchedulerContext& ctx) {
 }
 
 void BackfillBase::on_submit(SchedulerContext& ctx, std::int64_t job_id) {
-  queue_.push_back(job_id);
   const auto& j = ctx.job(job_id);
-  queued_info_[job_id] = {j.procs, j.estimate};
+  queue_.push_back({job_id, j.procs, j.estimate});
 }
 
 void BackfillBase::release_running(std::int64_t job_id, std::int64_t now) {
@@ -150,18 +149,23 @@ CapacityProfile BackfillBase::base_profile(std::int64_t now,
 }
 
 void BackfillBase::prune_queue(SchedulerContext& ctx) {
-  std::erase_if(queue_, [&](std::int64_t id) {
-    if (ctx.job(id).state != sim::JobState::kQueued) {
-      queued_info_.erase(id);
-      return true;
-    }
-    return false;
+  std::erase_if(queue_, [&](const QueuedJob& q) {
+    return ctx.job(q.id).state != sim::JobState::kQueued;
   });
+}
+
+std::vector<std::size_t> BackfillBase::queue_by_id() const {
+  std::vector<std::size_t> order(queue_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return queue_[a].id < queue_[b].id;
+  });
+  return order;
 }
 
 std::int64_t BackfillBase::earliest_reservation_start(
     std::int64_t now, std::int64_t from, std::int64_t duration,
-    std::int64_t procs, std::int64_t /*total_nodes*/) const {
+    std::int64_t procs) const {
   return profile_.earliest_start(std::max(from, now), duration, procs);
 }
 
@@ -205,23 +209,20 @@ CapacityProfile BackfillBase::read_profile(sim::snapshot::Reader& r) {
 
 void BackfillBase::save_state(sim::snapshot::Writer& w) const {
   w.u64(queue_.size());
-  for (std::int64_t id : queue_) w.i64(id);
+  for (const auto& q : queue_) w.i64(q.id);
 
-  // Hash maps are serialized in sorted-key order so the byte stream is
-  // independent of hashing/insertion history; lookups don't care.
-  std::vector<std::int64_t> ids;
-  ids.reserve(queued_info_.size());
-  for (const auto& [id, info] : queued_info_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (std::int64_t id : ids) {
-    const auto& info = queued_info_.at(id);
-    w.i64(id);
-    w.i64(info.procs);
-    w.i64(info.estimate);
+  // Per-job sections are serialized in job-id order so the byte stream
+  // is independent of queue order and hashing history.
+  const auto by_id = queue_by_id();
+  w.u64(by_id.size());
+  for (const std::size_t i : by_id) {
+    w.i64(queue_[i].id);
+    w.i64(queue_[i].procs);
+    w.i64(queue_[i].estimate);
   }
 
-  ids.clear();
+  std::vector<std::int64_t> ids;
+  ids.reserve(running_.size());
   for (const auto& [id, rj] : running_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   w.u64(ids.size());
@@ -273,16 +274,18 @@ void BackfillBase::save_state(sim::snapshot::Writer& w) const {
 void BackfillBase::load_state(sim::snapshot::Reader& r) {
   queue_.clear();
   std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.i64());
+  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back({r.i64()});
 
-  queued_info_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::int64_t id = r.i64();
-    QueuedInfo info;
-    info.procs = r.i64();
-    info.estimate = r.i64();
-    queued_info_.emplace(id, info);
+  const auto by_id = queue_by_id();
+  if (r.u64() != by_id.size()) {
+    throw std::runtime_error("BackfillBase::load_state: job count mismatch");
+  }
+  for (const std::size_t i : by_id) {
+    if (r.i64() != queue_[i].id) {
+      throw std::runtime_error("BackfillBase::load_state: job id mismatch");
+    }
+    queue_[i].procs = r.i64();
+    queue_[i].estimate = r.i64();
   }
 
   running_.clear();

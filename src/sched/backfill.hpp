@@ -58,10 +58,7 @@ class BackfillBase : public Scheduler {
   std::int64_t earliest_reservation_start(std::int64_t now,
                                           std::int64_t from,
                                           std::int64_t duration,
-                                          std::int64_t procs,
-                                          std::int64_t total_nodes) const;
-
-  std::size_t queue_length() const { return queue_.size(); }
+                                          std::int64_t procs) const;
 
   /// The incrementally maintained base profile (running jobs +
   /// reservations + outages). Exposed for tests and diagnostics.
@@ -81,9 +78,14 @@ class BackfillBase : public Scheduler {
     /// (expected_end, or now+1 ticks while the job overruns it).
     std::int64_t profile_end = 0;
   };
-  struct QueuedInfo {
+  /// One queued job: its size and estimate as submitted, and the start
+  /// of the reservation it holds (conservative backfilling only;
+  /// kForever = none).
+  struct QueuedJob {
+    std::int64_t id = 0;
     std::int64_t procs = 0;
     std::int64_t estimate = 0;
+    std::int64_t slot = kForever;
   };
   struct OutageWindow {
     std::int64_t start = 0;
@@ -127,8 +129,12 @@ class BackfillBase : public Scheduler {
                             const CapacityProfile& profile);
   static CapacityProfile read_profile(sim::snapshot::Reader& r);
 
-  std::deque<std::int64_t> queue_;
-  std::unordered_map<std::int64_t, QueuedInfo> queued_info_;
+  /// Positions in queue_ ordered by job id: snapshot sections keyed by
+  /// job id are written and read in this order.
+  std::vector<std::size_t> queue_by_id() const;
+
+  /// Queued jobs in FIFO order.
+  std::deque<QueuedJob> queue_;
   std::unordered_map<std::int64_t, RunningJob> running_;
   std::vector<AdvanceReservation> reservations_;
   std::vector<OutageWindow> outages_;

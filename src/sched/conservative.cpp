@@ -1,6 +1,7 @@
 #include "sched/conservative.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "sched/registry.hpp"
@@ -36,13 +37,6 @@ void ConservativeScheduler::on_attach(SchedulerContext& ctx) {
   full_profile_ = profile_;
 }
 
-std::optional<std::int64_t> ConservativeScheduler::reserved_start(
-    std::int64_t job_id) const {
-  const auto it = placed_.find(job_id);
-  if (it == placed_.end()) return std::nullopt;
-  return it->second;
-}
-
 void ConservativeScheduler::schedule(SchedulerContext& ctx) {
   const std::int64_t now = ctx.now();
   total_nodes_ = ctx.machine().total_nodes();
@@ -66,22 +60,23 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
   // backfill-heavy replay (every job contributes one submit event).
   if (!consume_base_change() && !externally_started &&
       !full_profile_stale_) {
-    std::size_t reserved = placed_.size();
+    // Depth slots in use: one per job holding a reservation.
+    std::size_t reserved = 0;
+    if (reserve_depth_ > 0) {
+      reserved = std::size_t(std::count_if(
+          queue_.begin(), queue_.end(),
+          [](const QueuedJob& q) { return q.slot < kForever; }));
+    }
     for (auto it = queue_.begin(); it != queue_.end();) {
-      const auto& j = ctx.job(*it);
-      const auto placed = placed_.find(*it);
-      if (placed != placed_.end()) {
+      QueuedJob& q = *it;
+      if (q.slot < kForever) {
         // A standing reservation: due (the clock reached its slot —
         // e.g. a submission event landing exactly on it) means start.
-        if (placed->second <= now &&
-            start_as(*it, sim::StartProvenance::kReservation,
-                     placed->second)) {
-          full_profile_.remove_usage(placed->second,
-                                     placed->second + j.estimate, j.procs);
-          full_profile_.add_usage(now, now + j.estimate, j.procs);
-          note_started(j.id, now, j.estimate, j.procs);
-          queued_info_.erase(j.id);
-          placed_.erase(placed);
+        if (q.slot <= now &&
+            start_as(q.id, sim::StartProvenance::kReservation, q.slot)) {
+          full_profile_.remove_usage(q.slot, q.slot + q.estimate, q.procs);
+          full_profile_.add_usage(now, now + q.estimate, q.procs);
+          note_started(q.id, now, q.estimate, q.procs);
           it = queue_.erase(it);
           --reserved;  // a started job frees its depth slot
           continue;
@@ -93,30 +88,28 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
           reserve_depth_ == 0 || reserved < std::size_t(reserve_depth_);
       if (in_depth) {
         const std::int64_t t =
-            full_profile_.earliest_start(now, j.estimate, j.procs);
+            full_profile_.earliest_start(now, q.estimate, q.procs);
         // An immediate first placement is a queue-order start at the
         // front, a backfill move (ahead of earlier queued jobs) behind.
         if (t == now &&
-            start_as(*it, it == queue_.begin()
-                              ? sim::StartProvenance::kQueueHead
-                              : sim::StartProvenance::kBackfill)) {
-          full_profile_.add_usage(now, now + j.estimate, j.procs);
-          note_started(j.id, now, j.estimate, j.procs);
-          queued_info_.erase(j.id);
+            start_as(q.id, it == queue_.begin()
+                               ? sim::StartProvenance::kQueueHead
+                               : sim::StartProvenance::kBackfill)) {
+          full_profile_.add_usage(now, now + q.estimate, q.procs);
+          note_started(q.id, now, q.estimate, q.procs);
           it = queue_.erase(it);
           continue;
         }
         if (t < kForever) {
-          full_profile_.add_usage(t, t + j.estimate, j.procs);
-          placed_[j.id] = t;
+          full_profile_.add_usage(t, t + q.estimate, q.procs);
+          q.slot = t;
         }
         ++reserved;
         ++it;
-      } else if (full_profile_.fits(now, j.estimate, j.procs) &&
-                 start_as(*it, sim::StartProvenance::kBackfill)) {
-        full_profile_.add_usage(now, now + j.estimate, j.procs);
-        note_started(j.id, now, j.estimate, j.procs);
-        queued_info_.erase(j.id);
+      } else if (full_profile_.fits(now, q.estimate, q.procs) &&
+                 start_as(q.id, sim::StartProvenance::kBackfill)) {
+        full_profile_.add_usage(now, now + q.estimate, q.procs);
+        note_started(q.id, now, q.estimate, q.procs);
         it = queue_.erase(it);
       } else {
         ++it;
@@ -131,10 +124,8 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
   // can never move it into capacity promised to another — the
   // improvement-only rule that keeps every promise (see header).
   CapacityProfile profile = profile_;
-  std::size_t claims = 0;
-  for (const std::int64_t id : queue_) {
-    const auto it = placed_.find(id);
-    if (it == placed_.end()) continue;
+  for (QueuedJob& q : queue_) {
+    if (q.slot == kForever) continue;
     // A slot that slipped into the past is a promise already void (the
     // start at the reserved time failed on a shrunken machine, or no
     // event landed on the slot at all — possible once kills requeue
@@ -143,46 +134,30 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
     // compressing to `now` and the run could drain its events with the
     // machine idle and jobs still queued. Drop it; the holder is
     // re-placed below as a fresh job.
-    if (it->second < now) {
-      placed_.erase(it);
+    if (q.slot < now) {
+      q.slot = kForever;
       continue;
     }
-    const auto& j = ctx.job(id);
-    profile.add_usage(it->second, it->second + j.estimate, j.procs);
-    ++claims;
-  }
-  // Placements of jobs that left the queue between passes (externally
-  // started via an attached reservation) were not added above; drop
-  // them so they cannot linger.
-  if (placed_.size() != claims) {
-    std::unordered_map<std::int64_t, std::int64_t> live;
-    for (const std::int64_t id : queue_) {
-      const auto it = placed_.find(id);
-      if (it != placed_.end()) live.emplace(*it);
-    }
-    placed_ = std::move(live);
+    profile.add_usage(q.slot, q.slot + q.estimate, q.procs);
   }
 
   std::size_t reserved = 0;
   for (auto it = queue_.begin(); it != queue_.end();) {
-    const auto& j = ctx.job(*it);
+    QueuedJob& q = *it;
     const bool in_depth =
         reserve_depth_ == 0 || reserved < std::size_t(reserve_depth_);
     if (in_depth) {
       // Compress (or first-place) this job's reservation with every
       // other claim standing.
-      std::int64_t slot = kForever;
-      const auto placed = placed_.find(*it);
-      const std::int64_t prior_slot =
-          placed != placed_.end() ? placed->second : kForever;
-      if (placed != placed_.end()) {
-        slot = placed->second;
-        profile.remove_usage(slot, slot + j.estimate, j.procs);
+      const std::int64_t prior_slot = q.slot;
+      std::int64_t slot = prior_slot;
+      if (slot < kForever) {
+        profile.remove_usage(slot, slot + q.estimate, q.procs);
       }
-      const std::int64_t t = profile.earliest_start(now, j.estimate, j.procs);
+      const std::int64_t t = profile.earliest_start(now, q.estimate, q.procs);
       if (t <= slot) {
         slot = t;  // improvement (or first placement)
-      } else if (slot < now || !profile.fits(slot, j.estimate, j.procs)) {
+      } else if (slot < now || !profile.fits(slot, q.estimate, q.procs)) {
         // The promised slot is gone — it slipped into the past (the
         // start at the reserved time failed on a shrunken machine), an
         // outage window opened over it, an accepted external
@@ -195,33 +170,25 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
       // first placement that lands on "now" is a queue-order start at
       // the front, a backfill move behind it.
       if (slot == now &&
-          start_as(*it,
+          start_as(q.id,
                    prior_slot < kForever ? sim::StartProvenance::kReservation
                    : it == queue_.begin()
                        ? sim::StartProvenance::kQueueHead
                        : sim::StartProvenance::kBackfill,
                    prior_slot < kForever ? prior_slot : -1)) {
-        profile.add_usage(now, now + j.estimate, j.procs);
-        note_started(j.id, now, j.estimate, j.procs);
-        queued_info_.erase(j.id);
-        placed_.erase(j.id);
+        profile.add_usage(now, now + q.estimate, q.procs);
+        note_started(q.id, now, q.estimate, q.procs);
         it = queue_.erase(it);
         continue;
       }
-      if (slot < kForever) {
-        profile.add_usage(slot, slot + j.estimate, j.procs);
-        placed_[j.id] = slot;
-      } else {
-        placed_.erase(j.id);
-      }
+      if (slot < kForever) profile.add_usage(slot, slot + q.estimate, q.procs);
+      q.slot = slot;
       ++reserved;  // a started job holds no reservation
       ++it;
-    } else if (profile.fits(now, j.estimate, j.procs) &&
-               start_as(*it, sim::StartProvenance::kBackfill)) {
-      profile.add_usage(now, now + j.estimate, j.procs);
-      note_started(j.id, now, j.estimate, j.procs);
-      queued_info_.erase(j.id);
-      placed_.erase(j.id);
+    } else if (profile.fits(now, q.estimate, q.procs) &&
+               start_as(q.id, sim::StartProvenance::kBackfill)) {
+      profile.add_usage(now, now + q.estimate, q.procs);
+      note_started(q.id, now, q.estimate, q.procs);
       it = queue_.erase(it);
     } else {
       ++it;
@@ -247,14 +214,10 @@ std::optional<std::int64_t> ConservativeScheduler::predict_start(
     // Rebuild base + standing placements (placements themselves do not
     // move between events; the next schedule() pass compresses them).
     CapacityProfile profile = profile_;
-    for (const std::int64_t id : queue_) {
-      const auto placed = placed_.find(id);
-      if (placed == placed_.end()) continue;
-      const auto info = queued_info_.find(id);
-      if (info == queued_info_.end()) continue;
-      profile.add_usage(placed->second,
-                        placed->second + info->second.estimate,
-                        info->second.procs);
+    for (const QueuedJob& q : queue_) {
+      if (q.slot < kForever) {
+        profile.add_usage(q.slot, q.slot + q.estimate, q.procs);
+      }
     }
     full_profile_ = std::move(profile);
     full_profile_stale_ = false;
@@ -268,14 +231,13 @@ std::optional<std::int64_t> ConservativeScheduler::predict_start(
 
 void ConservativeScheduler::save_state(sim::snapshot::Writer& w) const {
   BackfillBase::save_state(w);
-  std::vector<std::int64_t> ids;
-  ids.reserve(placed_.size());
-  for (const auto& [id, slot] : placed_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (std::int64_t id : ids) {
-    w.i64(id);
-    w.i64(placed_.at(id));
+  std::vector<std::size_t> held = queue_by_id();
+  std::erase_if(held,
+                [&](std::size_t i) { return queue_[i].slot == kForever; });
+  w.u64(held.size());
+  for (const std::size_t i : held) {
+    w.i64(queue_[i].id);
+    w.i64(queue_[i].slot);
   }
   write_profile(w, full_profile_);
   w.boolean(full_profile_stale_);
@@ -283,11 +245,19 @@ void ConservativeScheduler::save_state(sim::snapshot::Writer& w) const {
 
 void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
   BackfillBase::load_state(r);
-  placed_.clear();
+  // Slots come sorted by id, a subset of the queue: walk both in order.
+  const auto by_id = queue_by_id();
+  auto next = by_id.begin();
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::int64_t id = r.i64();
-    placed_.emplace(id, r.i64());
+    while (next != by_id.end() && queue_[*next].id < id) ++next;
+    if (next == by_id.end() || queue_[*next].id != id) {
+      throw std::runtime_error(
+          "ConservativeScheduler::load_state: reservation for a job not in "
+          "the queue");
+    }
+    queue_[*next++].slot = r.i64();
   }
   full_profile_ = read_profile(r);
   full_profile_stale_ = r.boolean();

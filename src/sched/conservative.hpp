@@ -23,8 +23,6 @@
 // of the aggressiveness axis.
 #pragma once
 
-#include <unordered_map>
-
 #include "sched/backfill.hpp"
 
 namespace pjsb::sched {
@@ -48,19 +46,12 @@ class ConservativeScheduler final : public BackfillBase {
 
   int reserve_depth() const { return reserve_depth_; }
 
-  /// The reservation currently held by a queued job (engine time), or
-  /// nullopt when the job holds none (beyond reserve_depth, unknown, or
-  /// not yet placeable). Exposed for tests and diagnostics.
-  std::optional<std::int64_t> reserved_start(std::int64_t job_id) const;
-
  private:
   int reserve_depth_ = 0;
 
-  /// Persistent FIFO reservations: job id -> promised start time, as
-  /// granted at submission and only ever compressed earlier (see class
-  /// comment). Entries are dropped when the job starts or leaves the
-  /// queue.
-  std::unordered_map<std::int64_t, std::int64_t> placed_;
+  // A queued job's persistent reservation is QueuedJob::slot in queue_:
+  // the promised start, granted at submission and only ever compressed
+  // earlier (see class comment). It leaves with the job's record.
 
   /// Base profile + the queue's reservation placements, as left by the
   /// last schedule() pass; predict_start queries it directly instead of

@@ -45,13 +45,11 @@ void EasyScheduler::schedule(SchedulerContext& ctx) {
 
   // Start jobs in FIFO order while the head fits immediately.
   while (!queue_.empty()) {
-    const std::int64_t id = queue_.front();
-    const auto& j = ctx.job(id);
-    if (profile.fits(now, j.estimate, j.procs) &&
-        start_as(id, sim::StartProvenance::kQueueHead)) {
-      profile.add_usage(now, now + j.estimate, j.procs);
-      note_started(id, now, j.estimate, j.procs);
-      queued_info_.erase(id);
+    const QueuedJob& q = queue_.front();
+    if (profile.fits(now, q.estimate, q.procs) &&
+        start_as(q.id, sim::StartProvenance::kQueueHead)) {
+      profile.add_usage(now, now + q.estimate, q.procs);
+      note_started(q.id, now, q.estimate, q.procs);
       queue_.pop_front();
       continue;
     }
@@ -67,30 +65,28 @@ void EasyScheduler::schedule(SchedulerContext& ctx) {
   auto it = queue_.begin();
   std::size_t placed = 0;
   while (placed < std::size_t(reserve_depth_) && it != queue_.end()) {
-    const auto& j = ctx.job(*it);
-    const std::int64_t t = profile.earliest_start(now, j.estimate, j.procs);
+    const QueuedJob& q = *it;
+    const std::int64_t t = profile.earliest_start(now, q.estimate, q.procs);
     // A protected job starting at its shadow slot is a promoted
     // reservation, not a backfill move.
-    if (t == now && start_as(*it, sim::StartProvenance::kReservation, t)) {
-      profile.add_usage(now, now + j.estimate, j.procs);
-      note_started(j.id, now, j.estimate, j.procs);
-      queued_info_.erase(j.id);
+    if (t == now && start_as(q.id, sim::StartProvenance::kReservation, t)) {
+      profile.add_usage(now, now + q.estimate, q.procs);
+      note_started(q.id, now, q.estimate, q.procs);
       it = queue_.erase(it);
       continue;  // a started job holds no reservation
     }
-    if (t < kForever) profile.add_usage(t, t + j.estimate, j.procs);
+    if (t < kForever) profile.add_usage(t, t + q.estimate, q.procs);
     ++placed;
     ++it;
   }
 
   // Backfill: any later job that fits now without delaying a shadow.
   while (it != queue_.end()) {
-    const auto& j = ctx.job(*it);
-    if (profile.fits(now, j.estimate, j.procs) &&
-        start_as(*it, sim::StartProvenance::kBackfill)) {
-      profile.add_usage(now, now + j.estimate, j.procs);
-      note_started(j.id, now, j.estimate, j.procs);
-      queued_info_.erase(j.id);
+    const QueuedJob& q = *it;
+    if (profile.fits(now, q.estimate, q.procs) &&
+        start_as(q.id, sim::StartProvenance::kBackfill)) {
+      profile.add_usage(now, now + q.estimate, q.procs);
+      note_started(q.id, now, q.estimate, q.procs);
       it = queue_.erase(it);
     } else {
       ++it;
@@ -108,10 +104,7 @@ std::optional<std::int64_t> EasyScheduler::predict_start(
   // placements replay on a copy of the maintained base profile — no
   // rebuild per query.
   CapacityProfile profile = profile_;
-  for (const std::int64_t id : queue_) {
-    const auto it = queued_info_.find(id);
-    if (it == queued_info_.end()) continue;
-    const auto& q = it->second;
+  for (const QueuedJob& q : queue_) {
     const std::int64_t t =
         profile.earliest_start(now, q.estimate, q.procs);
     if (t < kForever) profile.add_usage(t, t + q.estimate, q.procs);

@@ -29,10 +29,6 @@ class EasyScheduler final : public BackfillBase {
 
   int reserve_depth() const { return reserve_depth_; }
 
-  /// Total nodes of the machine this scheduler is attached to (needed
-  /// by predict_start, which has no context access).
-  std::int64_t last_total_nodes() const { return total_nodes_; }
-
  private:
   int reserve_depth_ = 1;
 };

@@ -18,8 +18,6 @@ class FcfsScheduler final : public Scheduler {
   void save_state(sim::snapshot::Writer& w) const override;
   void load_state(sim::snapshot::Reader& r) override;
 
-  std::size_t queue_length() const { return queue_.size(); }
-
  private:
   std::deque<std::int64_t> queue_;
 };

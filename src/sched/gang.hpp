@@ -38,7 +38,6 @@ class GangScheduler final : public Scheduler {
   void load_state(sim::snapshot::Reader& r) override;
 
   int active_rows() const;
-  std::size_t queue_length() const { return queue_.size(); }
 
  private:
   struct GangJob {

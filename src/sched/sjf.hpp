@@ -32,9 +32,6 @@ class SjfScheduler final : public Scheduler {
   void save_state(sim::snapshot::Writer& w) const override;
   void load_state(sim::snapshot::Reader& r) override;
 
-  std::size_t queue_length() const { return queue_.size(); }
-  SjfTieBreak tie_break() const { return tie_; }
-
  private:
   /// Strict-weak queue order: estimate, then the tie-break policy,
   /// then id (FIFO) as the final arbiter.

@@ -1,8 +1,6 @@
 #include "sim/machine.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <numeric>
+#include <bit>
 #include <stdexcept>
 
 #include "sim/snapshot/codec.hpp"
@@ -10,33 +8,13 @@
 namespace pjsb::sim {
 
 Machine::Machine(std::int64_t total_nodes)
-    : owner_(std::size_t(total_nodes), kFree),
-      free_heap_(std::size_t(total_nodes)),
-      in_free_heap_(std::size_t(total_nodes), 1),
-      free_(total_nodes) {
+    : owner_(std::size_t(total_nodes), kFree), free_(total_nodes) {
   if (total_nodes <= 0) {
     throw std::invalid_argument("Machine: need at least one node");
   }
-  // 0..N-1 ascending is already a valid min-heap.
-  std::iota(free_heap_.begin(), free_heap_.end(), std::int64_t(0));
-}
-
-void Machine::push_free(std::int64_t node) {
-  auto& flag = in_free_heap_[std::size_t(node)];
-  if (flag) return;
-  flag = 1;
-  free_heap_.push_back(node);
-  std::push_heap(free_heap_.begin(), free_heap_.end(), std::greater<>());
-}
-
-std::int64_t Machine::pop_free() {
-  while (true) {
-    std::pop_heap(free_heap_.begin(), free_heap_.end(), std::greater<>());
-    const std::int64_t node = free_heap_.back();
-    free_heap_.pop_back();
-    in_free_heap_[std::size_t(node)] = 0;
-    if (owner_[std::size_t(node)] == kFree) return node;
-    // Stale entry: the node went down while listed; drop and continue.
+  free_bits_.assign((owner_.size() + 63) / 64, ~std::uint64_t(0));
+  if (const std::size_t tail = owner_.size() % 64; tail != 0) {
+    free_bits_.back() = (std::uint64_t(1) << tail) - 1;
   }
 }
 
@@ -46,10 +24,17 @@ std::optional<std::vector<std::int64_t>> Machine::allocate(
   if (count > free_) return std::nullopt;
   std::vector<std::int64_t> nodes;
   nodes.reserve(std::size_t(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t node = pop_free();
-    owner_[std::size_t(node)] = job_id;
-    nodes.push_back(node);
+  std::int64_t left = count;
+  for (std::size_t w = 0; left > 0; ++w) {
+    std::uint64_t bits = free_bits_[w];
+    while (bits != 0 && left > 0) {
+      const std::int64_t node = std::int64_t(w * 64 + std::countr_zero(bits));
+      bits &= bits - 1;  // clear the lowest set bit
+      owner_[std::size_t(node)] = job_id;
+      nodes.push_back(node);
+      --left;
+    }
+    free_bits_[w] = bits;
   }
   free_ -= count;
   return nodes;
@@ -65,7 +50,7 @@ void Machine::release(std::int64_t job_id,
     }
     o = kFree;
     ++free_;
-    push_free(n);
+    mark_free(n);
   }
 }
 
@@ -73,8 +58,10 @@ std::int64_t Machine::take_down(std::int64_t node) {
   auto& o = owner_.at(std::size_t(node));
   const std::int64_t prev = o;
   if (prev == kDown) return kDown;
-  // A free node keeps its (now stale) heap entry; pop_free discards it.
-  if (prev == kFree) --free_;
+  if (prev == kFree) {
+    --free_;
+    mark_taken(node);
+  }
   o = kDown;
   ++down_;
   return prev;
@@ -86,7 +73,7 @@ void Machine::bring_up(std::int64_t node) {
   o = kFree;
   --down_;
   ++free_;
-  push_free(node);
+  mark_free(node);
 }
 
 std::int64_t Machine::owner(std::int64_t node) const {
@@ -105,19 +92,16 @@ void Machine::load_state(snapshot::Reader& r) {
   }
   free_ = 0;
   down_ = 0;
-  free_heap_.clear();
-  in_free_heap_.assign(owner_.size(), 0);
+  free_bits_.assign(free_bits_.size(), 0);
   for (std::size_t i = 0; i < owner_.size(); ++i) {
     owner_[i] = r.i64();
     if (owner_[i] == kFree) {
       ++free_;
-      free_heap_.push_back(std::int64_t(i));
-      in_free_heap_[i] = 1;
+      mark_free(std::int64_t(i));
     } else if (owner_[i] == kDown) {
       ++down_;
     }
   }
-  // Ascending node ids are already a valid min-heap.
 }
 
 }  // namespace pjsb::sim

@@ -4,11 +4,11 @@
 // outages hit specific components — "which nodes went down" — and kill
 // exactly the jobs running there, per section 2.2 of the paper.
 //
-// Allocation draws from a free-list kept as a min-heap of node ids, so
-// starting a job costs O(count log N) instead of scanning every node,
-// while preserving the exact first-fit (lowest-id-first) placement of
-// the naive scan — outage victim selection stays reproducible across
-// implementations.
+// Allocation draws from a free-node bitmap (bit i set exactly when node
+// i is free) scanned word by word with count-trailing-zeros, so a job
+// costs a few word scans instead of a per-node search, while keeping
+// the exact first-fit (lowest-id-first) placement of the naive scan —
+// outage victim selection stays reproducible across implementations.
 #pragma once
 
 #include <cstdint>
@@ -65,26 +65,21 @@ class Machine {
   std::int64_t owner(std::int64_t node) const;
 
   /// Serialize per-node ownership. Only owner_ is written: the free
-  /// list is rebuilt canonically on load, which is allocation-
-  /// equivalent — pop_free always returns the lowest-numbered free
-  /// node regardless of stale heap entries.
+  /// bitmap is a function of owner_ and is rebuilt on load.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
-  /// Add `node` to the free-list heap unless it already has an entry.
-  void push_free(std::int64_t node);
-  /// Pop the lowest-numbered genuinely free node. Entries going stale
-  /// (node taken down while listed) are discarded lazily. Requires
-  /// free_ > 0.
-  std::int64_t pop_free();
+  void mark_free(std::int64_t node) {
+    free_bits_[std::size_t(node) >> 6] |= std::uint64_t(1) << (node & 63);
+  }
+  void mark_taken(std::int64_t node) {
+    free_bits_[std::size_t(node) >> 6] &= ~(std::uint64_t(1) << (node & 63));
+  }
 
   std::vector<std::int64_t> owner_;
-  /// Min-heap of candidate free node ids (std::greater comparator).
-  /// Lazy deletion: an entry may be stale; in_free_heap_ guarantees at
-  /// most one entry per node, and pop_free() validates against owner_.
-  std::vector<std::int64_t> free_heap_;
-  std::vector<std::uint8_t> in_free_heap_;
+  /// Bit i % 64 of word i / 64 is set exactly when owner_[i] == kFree.
+  std::vector<std::uint64_t> free_bits_;
   std::int64_t free_ = 0;
   std::int64_t down_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/snapshot/codec.hpp"
+
 namespace pjsb::sim {
 namespace {
 
@@ -91,7 +93,7 @@ TEST(Machine, AllocationSkipsDownNodes) {
 }
 
 TEST(Machine, AllocationIsFirstFitLowestIds) {
-  // The free list must hand out the lowest-numbered free nodes in
+  // The allocator must hand out the lowest-numbered free nodes in
   // increasing order — outage victim selection depends on placement, so
   // this ordering is part of the reproducibility contract.
   Machine m(8);
@@ -140,42 +142,99 @@ TEST(Machine, ReleaseAfterPartialOutage) {
   EXPECT_EQ(*again, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
 }
 
+// The first-fit answer computed from owner() alone: the `count`
+// lowest-numbered free nodes.
+std::vector<std::int64_t> lowest_free(const Machine& m, std::int64_t count) {
+  std::vector<std::int64_t> nodes;
+  for (std::int64_t n = 0; n < m.total_nodes(); ++n) {
+    if (std::int64_t(nodes.size()) == count) break;
+    if (m.owner(n) == kFree) nodes.push_back(n);
+  }
+  return nodes;
+}
+
 TEST(Machine, ChurnKeepsFreeListConsistent) {
-  // Exercise the lazy-deletion free list: allocate/release/outage churn
-  // must never double-allocate a node or lose one.
-  Machine m(16);
-  std::vector<std::vector<std::int64_t>> held;
-  std::int64_t next_job = 1;
-  for (int round = 0; round < 50; ++round) {
-    if (round % 3 != 2) {
-      const auto got = m.allocate(next_job, 1 + (round % 5));
-      if (got) {
-        ++next_job;
-        held.push_back(*got);
+  // Allocate/release/outage churn must never double-allocate a node or
+  // lose one, and every allocation must be exactly the lowest free
+  // nodes. 130 nodes spans three bitmap words, the last one partial.
+  for (const std::int64_t size : {std::int64_t(16), std::int64_t(130)}) {
+    SCOPED_TRACE(size);
+    Machine m(size);
+    std::vector<std::vector<std::int64_t>> held;
+    std::int64_t next_job = 1;
+    for (int round = 0; round < 50 * int(size / 16); ++round) {
+      if (round % 3 != 2) {
+        const std::int64_t count = 1 + (round % 5) * (size / 16);
+        const auto expected = lowest_free(m, count);
+        const auto got = m.allocate(next_job, count);
+        if (got) {
+          EXPECT_EQ(*got, expected);
+          ++next_job;
+          held.push_back(*got);
+        } else {
+          EXPECT_LT(std::int64_t(expected.size()), count);
+        }
+      } else if (!held.empty()) {
+        --next_job;  // most recent allocation belongs to next_job - 1
+        m.release(next_job, held.back());
+        held.pop_back();
       }
-    } else if (!held.empty()) {
-      --next_job;  // most recent allocation belongs to next_job - 1
-      m.release(next_job, held.back());
-      held.pop_back();
-    }
-    if (round % 7 == 6) {
-      const std::int64_t n = round % 16;
-      if (m.owner(n) == kFree) {
-        m.take_down(n);
-        m.bring_up(n);
+      if (round % 7 == 6) {
+        // Anywhere on the machine. A busy node's job is killed, as the
+        // engine does (its surviving nodes return); odd rounds leave the
+        // node down until a later round hits it again.
+        const std::int64_t n = (round * 37) % size;
+        const std::int64_t prev = m.take_down(n);
+        if (prev >= 0) {
+          m.release(prev, held[std::size_t(prev - 1)]);
+          held[std::size_t(prev - 1)].clear();
+        }
+        if (round % 2 == 0) m.bring_up(n);
       }
-    }
-    // Invariant: counters partition the machine.
-    EXPECT_EQ(m.free_nodes() + m.busy_nodes() + m.down_nodes(),
-              m.total_nodes());
-    // Invariant: no node owned by two jobs (owners are per-node, so
-    // check each held allocation still owns its nodes).
-    for (std::size_t h = 0; h < held.size(); ++h) {
-      for (const auto n : held[h]) {
-        EXPECT_GE(m.owner(n), 0) << "node " << n << " lost its owner";
+      // Invariant: counters partition the machine and match owner().
+      EXPECT_EQ(m.free_nodes() + m.busy_nodes() + m.down_nodes(),
+                m.total_nodes());
+      EXPECT_EQ(std::int64_t(lowest_free(m, size).size()), m.free_nodes());
+      // Invariant: no node owned by two jobs (owners are per-node, so
+      // check each held allocation, job h + 1's, still owns its nodes).
+      for (std::size_t h = 0; h < held.size(); ++h) {
+        for (const auto n : held[h]) {
+          EXPECT_EQ(m.owner(n), std::int64_t(h + 1))
+              << "node " << n << " lost its owner";
+        }
       }
     }
   }
+}
+
+TEST(Machine, SaveLoadAcrossWordBoundary) {
+  // Busy and down nodes on both sides of node 64: the restored free
+  // bitmap must reproduce the donor's next first-fit allocation.
+  Machine donor(130);
+  ASSERT_TRUE(donor.allocate(1, 70));  // nodes 0..69
+  donor.release(1, std::vector<std::int64_t>{10, 11, 62, 63, 64, 65});
+  donor.take_down(66);   // busy -> down
+  donor.take_down(61);   // busy -> down
+  donor.take_down(100);  // free -> down
+  ASSERT_TRUE(donor.allocate(2, 3));  // 10, 11, 62
+  snapshot::Writer w;
+  donor.save_state(w);
+
+  Machine restored(130);
+  snapshot::Reader r(w.bytes());
+  restored.load_state(r);
+  r.expect_done();
+  EXPECT_EQ(restored.free_nodes(), donor.free_nodes());
+  EXPECT_EQ(restored.down_nodes(), donor.down_nodes());
+  for (std::int64_t n = 0; n < 130; ++n) {
+    EXPECT_EQ(restored.owner(n), donor.owner(n)) << "node " << n;
+  }
+  const auto want = donor.allocate(3, 5);
+  const auto got = restored.allocate(3, 5);
+  ASSERT_TRUE(want);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(*got, (std::vector<std::int64_t>{63, 64, 65, 70, 71}));
 }
 
 }  // namespace
