@@ -25,11 +25,24 @@ void BackfillBase::release_running(std::int64_t job_id, std::int64_t now) {
   const auto& rj = it->second;
   // The job's capacity is free from `now` on; its history stays in the
   // profile until the next compaction.
-  if (rj.profile_end > now) {
-    profile_.remove_usage(now, rj.profile_end, rj.procs);
-  }
+  change_base(now, rj.profile_end, -rj.procs);
   running_.erase(it);
+}
+
+void BackfillBase::change_base(std::int64_t start, std::int64_t end,
+                               std::int64_t used) {
+  apply_usage(profile_, start, end, used);
+  on_base_change(start, end, used);
   base_changed_ = true;
+}
+
+void BackfillBase::apply_usage(CapacityProfile& profile, std::int64_t start,
+                               std::int64_t end, std::int64_t used) {
+  if (used >= 0) {
+    profile.add_usage(start, end, used);
+  } else {
+    profile.remove_usage(start, end, -used);
+  }
 }
 
 void BackfillBase::on_job_end(SchedulerContext& ctx, std::int64_t job_id) {
@@ -51,11 +64,9 @@ void BackfillBase::note_outage(std::int64_t now,
     }
   }
   outages_.push_back({rec.start_time, rec.end_time, rec.nodes_affected});
-  if (rec.end_time > now) {
-    profile_.add_usage(std::max(rec.start_time, now), rec.end_time,
-                       rec.nodes_affected);
-  }
-  base_changed_ = true;
+  // A window already over adds nothing (add_usage ignores end <= start).
+  change_base(std::max(rec.start_time, now), rec.end_time,
+              rec.nodes_affected);
 }
 
 void BackfillBase::on_outage_announce(SchedulerContext& ctx,
@@ -76,8 +87,7 @@ void BackfillBase::on_outage_end(SchedulerContext& ctx,
     const bool drop = w.end <= now || (w.start == rec.start_time &&
                                        w.nodes == rec.nodes_affected);
     if (drop && w.end > now) {
-      profile_.remove_usage(std::max(w.start, now), w.end, w.nodes);
-      base_changed_ = true;
+      change_base(std::max(w.start, now), w.end, -w.nodes);
     }
     return drop;
   });
@@ -101,9 +111,8 @@ void BackfillBase::refresh_profile(std::int64_t now) {
     const auto it = running_.find(id);
     if (it == running_.end() || it->second.profile_end != end) continue;
     it->second.profile_end = now + 1;
-    profile_.add_usage(now, now + 1, it->second.procs);
+    change_base(now, now + 1, it->second.procs);
     expiry_heap_.push({now + 1, id});
-    base_changed_ = true;
   }
 
   // Committed reservations whose window has passed no longer influence
@@ -178,8 +187,7 @@ bool BackfillBase::try_reserve(SchedulerContext& ctx,
     return false;
   }
   reservations_.push_back(reservation);
-  profile_.add_usage(from, end, reservation.procs);
-  base_changed_ = true;
+  change_base(from, end, reservation.procs);
   return true;
 }
 

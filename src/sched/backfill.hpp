@@ -120,6 +120,19 @@ class BackfillBase : public Scheduler {
     return changed;
   }
 
+  /// Subclass hook for change_base(), called after profile_ changed:
+  /// a subclass that maintains a profile derived from profile_ (the
+  /// conservative reservation profile) applies the same change there.
+  virtual void on_base_change(std::int64_t /*start*/, std::int64_t /*end*/,
+                              std::int64_t /*used*/) {}
+  /// Add `used` procs of usage to `profile` over [start, end); negative
+  /// `used` removes usage (see change_base).
+  static void apply_usage(CapacityProfile& profile, std::int64_t start,
+                          std::int64_t end, std::int64_t used);
+
+  /// Whether the per-pass cross-check is armed (see set_cross_check).
+  bool cross_checking() const { return cross_check_; }
+
   /// Record a job started now: running-set entry + profile usage.
   void note_started(std::int64_t id, std::int64_t now,
                     std::int64_t estimate, std::int64_t procs);
@@ -147,6 +160,11 @@ class BackfillBase : public Scheduler {
   void note_outage(std::int64_t now, const outage::OutageRecord& rec);
   /// Remove a running job's remaining profile usage (end or kill).
   void release_running(std::int64_t job_id, std::int64_t now);
+  /// Change the base profile by `used` procs over [start, end)
+  /// (negative = capacity returned): every base change except a job
+  /// start goes through here. Marks the base changed and passes the
+  /// same change to on_base_change().
+  void change_base(std::int64_t start, std::int64_t end, std::int64_t used);
 
   /// (profile_end, job id) min-heap driving overrun extension; entries
   /// are validated against running_ when popped.

@@ -1,6 +1,7 @@
 #include "sched/conservative.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -37,29 +38,80 @@ void ConservativeScheduler::on_attach(SchedulerContext& ctx) {
   full_profile_ = profile_;
 }
 
+void ConservativeScheduler::move_claim(QueuedJob& q, std::int64_t slot) {
+  if (slot == q.slot) return;
+  if (q.slot < kForever) {
+    full_profile_.remove_usage(q.slot, q.slot + q.estimate, q.procs);
+  }
+  if (slot < kForever) {
+    full_profile_.add_usage(slot, slot + q.estimate, q.procs);
+  }
+  q.slot = slot;
+}
+
+void ConservativeScheduler::on_base_change(std::int64_t start,
+                                           std::int64_t end,
+                                           std::int64_t used) {
+  apply_usage(full_profile_, start, end, used);
+}
+
+CapacityProfile ConservativeScheduler::rebuild_full_profile() const {
+  CapacityProfile profile = profile_;
+  for (const QueuedJob& q : queue_) {
+    if (q.slot < kForever) {
+      profile.add_usage(q.slot, q.slot + q.estimate, q.procs);
+    }
+  }
+  return profile;
+}
+
 void ConservativeScheduler::schedule(SchedulerContext& ctx) {
   const std::int64_t now = ctx.now();
   total_nodes_ = ctx.machine().total_nodes();
+  // Jobs that left the queue without a start from this scheduler — a
+  // reservation bound to the job started it, or Engine::cancel_job
+  // dropped it — give back the claims they held.
   const std::size_t before_prune = queue_.size();
-  prune_queue(ctx);
-  const bool externally_started = queue_.size() != before_prune;
+  std::erase_if(queue_, [&](QueuedJob& q) {
+    if (ctx.job(q.id).state == sim::JobState::kQueued) return false;
+    move_claim(q, kForever);
+    return true;
+  });
+  const bool left_queue = queue_.size() != before_prune;
   refresh_profile(now);  // may flag an overrun extension
 
-  // Annotate-and-start: stamp the reason onto the emitted decision.
-  const auto start_as = [&ctx](std::int64_t id, sim::StartProvenance why,
-                               std::int64_t detail = -1) {
+  if (cross_checking()) {
+    const CapacityProfile rebuilt = rebuild_full_profile();
+    if (!full_profile_.same_from(rebuilt, now)) {
+      std::ostringstream os;
+      os << "ConservativeScheduler: maintained reservation profile "
+            "diverged from base + claims at t="
+         << now << "\nmaintained:\n"
+         << full_profile_.to_string() << "rebuilt:\n"
+         << rebuilt.to_string();
+      throw std::logic_error(os.str());
+    }
+  }
+
+  // Annotate-and-start: stamp the reason onto the emitted decision. A
+  // started job's claim (moved to `now`) becomes its running usage, so
+  // full_profile_ needs no other change.
+  const auto start_as = [&](QueuedJob& q, sim::StartProvenance why,
+                            std::int64_t detail = -1) {
     ctx.annotate_start(why, detail);
-    return ctx.start_job(id);
+    if (!ctx.start_job(q.id)) return false;
+    move_claim(q, now);
+    note_started(q.id, now, q.estimate, q.procs);
+    return true;
   };
 
   // Submission-only fast path: when the base profile's semantics did
-  // not change since the last pass, standing reservations can neither
-  // improve nor break — only reservations that came due need starting
-  // and only unplaced (new / beyond-depth) jobs need work, against the
-  // maintained base+claims profile. This is the common case on a
+  // not change since the last pass and no claim was given back,
+  // standing reservations can neither improve nor break — only
+  // reservations that came due need starting and only unplaced (new /
+  // beyond-depth) jobs need work. This is the common case on a
   // backfill-heavy replay (every job contributes one submit event).
-  if (!consume_base_change() && !externally_started &&
-      !full_profile_stale_) {
+  if (!consume_base_change() && !left_queue) {
     // Depth slots in use: one per job holding a reservation.
     std::size_t reserved = 0;
     if (reserve_depth_ > 0) {
@@ -73,10 +125,7 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
         // A standing reservation: due (the clock reached its slot —
         // e.g. a submission event landing exactly on it) means start.
         if (q.slot <= now &&
-            start_as(q.id, sim::StartProvenance::kReservation, q.slot)) {
-          full_profile_.remove_usage(q.slot, q.slot + q.estimate, q.procs);
-          full_profile_.add_usage(now, now + q.estimate, q.procs);
-          note_started(q.id, now, q.estimate, q.procs);
+            start_as(q, sim::StartProvenance::kReservation, q.slot)) {
           it = queue_.erase(it);
           --reserved;  // a started job frees its depth slot
           continue;
@@ -92,24 +141,17 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
         // An immediate first placement is a queue-order start at the
         // front, a backfill move (ahead of earlier queued jobs) behind.
         if (t == now &&
-            start_as(q.id, it == queue_.begin()
-                               ? sim::StartProvenance::kQueueHead
-                               : sim::StartProvenance::kBackfill)) {
-          full_profile_.add_usage(now, now + q.estimate, q.procs);
-          note_started(q.id, now, q.estimate, q.procs);
+            start_as(q, it == queue_.begin()
+                            ? sim::StartProvenance::kQueueHead
+                            : sim::StartProvenance::kBackfill)) {
           it = queue_.erase(it);
           continue;
         }
-        if (t < kForever) {
-          full_profile_.add_usage(t, t + q.estimate, q.procs);
-          q.slot = t;
-        }
+        move_claim(q, t);
         ++reserved;
         ++it;
       } else if (full_profile_.fits(now, q.estimate, q.procs) &&
-                 start_as(q.id, sim::StartProvenance::kBackfill)) {
-        full_profile_.add_usage(now, now + q.estimate, q.procs);
-        note_started(q.id, now, q.estimate, q.procs);
+                 start_as(q, sim::StartProvenance::kBackfill)) {
         it = queue_.erase(it);
       } else {
         ++it;
@@ -119,27 +161,19 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
     return;
   }
 
-  // Build the full profile: the maintained base plus every standing
-  // reservation. Claims are added up front so that compressing one job
-  // can never move it into capacity promised to another — the
-  // improvement-only rule that keeps every promise (see header).
-  CapacityProfile profile = profile_;
+  // Compression pass over the maintained profile. A slot that slipped
+  // into the past is a promise already void (the start at the reserved
+  // time failed on a shrunken machine, or no event landed on the slot
+  // at all — possible once kills requeue jobs). A void claim must not
+  // stand: with several stale full-machine claims, each would block the
+  // others from compressing to `now` and the run could drain its events
+  // with the machine idle and jobs still queued. Drop it before the
+  // compaction folds its start into history; the holder is re-placed
+  // below as a fresh job.
   for (QueuedJob& q : queue_) {
-    if (q.slot == kForever) continue;
-    // A slot that slipped into the past is a promise already void (the
-    // start at the reserved time failed on a shrunken machine, or no
-    // event landed on the slot at all — possible once kills requeue
-    // jobs). A void claim must not stand in the profile: with several
-    // stale full-machine claims, each would block the others from
-    // compressing to `now` and the run could drain its events with the
-    // machine idle and jobs still queued. Drop it; the holder is
-    // re-placed below as a fresh job.
-    if (q.slot < now) {
-      q.slot = kForever;
-      continue;
-    }
-    profile.add_usage(q.slot, q.slot + q.estimate, q.procs);
+    if (q.slot < now) move_claim(q, kForever);
   }
+  full_profile_.compact_before(now);
 
   std::size_t reserved = 0;
   for (auto it = queue_.begin(); it != queue_.end();) {
@@ -148,80 +182,45 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
         reserve_depth_ == 0 || reserved < std::size_t(reserve_depth_);
     if (in_depth) {
       // Compress (or first-place) this job's reservation with every
-      // other claim standing.
+      // other claim standing: its new slot is the earliest start with
+      // its own claim lifted. That is never later than a slot that
+      // still fits (earliest_start returns the first start that fits),
+      // so a move to a later slot happens only when the promised slot
+      // is gone — an outage window opened over it, an accepted external
+      // reservation claimed it, or an overrunning job ate it — the
+      // documented cases where the promise is void.
       const std::int64_t prior_slot = q.slot;
-      std::int64_t slot = prior_slot;
-      if (slot < kForever) {
-        profile.remove_usage(slot, slot + q.estimate, q.procs);
-      }
-      const std::int64_t t = profile.earliest_start(now, q.estimate, q.procs);
-      if (t <= slot) {
-        slot = t;  // improvement (or first placement)
-      } else if (slot < now || !profile.fits(slot, q.estimate, q.procs)) {
-        // The promised slot is gone — it slipped into the past (the
-        // start at the reserved time failed on a shrunken machine), an
-        // outage window opened over it, an accepted external
-        // reservation claimed it, or an overrunning job ate it. Only
-        // then is the promise void and the job re-placed later.
-        slot = t;
-      }
+      const std::int64_t t = full_profile_.earliest_start_lifted(
+          now, q.estimate, q.procs, prior_slot);
       // Starting from a held reservation (possibly compressed to now)
       // is a reservation start carrying the prior promised slot; a
       // first placement that lands on "now" is a queue-order start at
       // the front, a backfill move behind it.
-      if (slot == now &&
-          start_as(q.id,
+      if (t == now &&
+          start_as(q,
                    prior_slot < kForever ? sim::StartProvenance::kReservation
                    : it == queue_.begin()
                        ? sim::StartProvenance::kQueueHead
                        : sim::StartProvenance::kBackfill,
                    prior_slot < kForever ? prior_slot : -1)) {
-        profile.add_usage(now, now + q.estimate, q.procs);
-        note_started(q.id, now, q.estimate, q.procs);
         it = queue_.erase(it);
         continue;
       }
-      if (slot < kForever) profile.add_usage(slot, slot + q.estimate, q.procs);
-      q.slot = slot;
+      move_claim(q, t);
       ++reserved;  // a started job holds no reservation
       ++it;
-    } else if (profile.fits(now, q.estimate, q.procs) &&
-               start_as(q.id, sim::StartProvenance::kBackfill)) {
-      profile.add_usage(now, now + q.estimate, q.procs);
-      note_started(q.id, now, q.estimate, q.procs);
+    } else if (full_profile_.fits(now, q.estimate, q.procs) &&
+               start_as(q, sim::StartProvenance::kBackfill)) {
       it = queue_.erase(it);
     } else {
       ++it;
     }
   }
-  full_profile_ = std::move(profile);
-  full_profile_stale_ = false;
-}
-
-bool ConservativeScheduler::try_reserve(
-    SchedulerContext& ctx, const AdvanceReservation& reservation) {
-  const bool accepted = BackfillBase::try_reserve(ctx, reservation);
-  // The base profile changed without a schedule() pass: queue
-  // placements in full_profile_ no longer account for the new window.
-  if (accepted) full_profile_stale_ = true;
-  return accepted;
 }
 
 std::optional<std::int64_t> ConservativeScheduler::predict_start(
     std::int64_t now, std::int64_t procs, std::int64_t estimate) const {
   if (total_nodes_ <= 0) return std::nullopt;
-  if (full_profile_stale_) {
-    // Rebuild base + standing placements (placements themselves do not
-    // move between events; the next schedule() pass compresses them).
-    CapacityProfile profile = profile_;
-    for (const QueuedJob& q : queue_) {
-      if (q.slot < kForever) {
-        profile.add_usage(q.slot, q.slot + q.estimate, q.procs);
-      }
-    }
-    full_profile_ = std::move(profile);
-    full_profile_stale_ = false;
-  }
   // Query against the maintained base + queue placements; the
   // hypothetical job only needs one earliest-start sweep.
   const std::int64_t t = full_profile_.earliest_start(now, estimate, procs);
@@ -240,7 +239,9 @@ void ConservativeScheduler::save_state(sim::snapshot::Writer& w) const {
     w.i64(queue_[i].slot);
   }
   write_profile(w, full_profile_);
-  w.boolean(full_profile_stale_);
+  // Format slot of the retired lazy-rebuild flag: the profile written
+  // above is always current.
+  w.boolean(false);
 }
 
 void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
@@ -260,7 +261,9 @@ void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
     queue_[*next++].slot = r.i64();
   }
   full_profile_ = read_profile(r);
-  full_profile_stale_ = r.boolean();
+  // Older snapshots may carry a profile flagged stale (a reservation
+  // accepted after their last pass): rebuild it once.
+  if (r.boolean()) full_profile_ = rebuild_full_profile();
 }
 
 }  // namespace pjsb::sched

@@ -6,16 +6,17 @@
 //
 // Reservations are *persistent* and compressed one at a time: when
 // capacity frees (a job ends early), each queued job is re-placed with
-// every other job's claim still standing, and moves only if the new
-// slot is earlier. This is the published compression rule — wholesale
-// re-placement looks equivalent but is not: an earlier job compressed
-// into a later job's window can push that job past its promised start,
-// which the validation fuzzer caught as a broken-promise invariant
-// violation. A reservation is abandoned (re-placed unconditionally)
-// only when its slot became infeasible through a base-profile
-// regression — an outage, an accepted external reservation, or a
-// running job overrunning its estimate — the documented cases where
-// the guarantee cannot hold.
+// every other job's claim still standing (one sweep with its own claim
+// lifted, see CapacityProfile::earliest_start_lifted), and moves only
+// if the new slot is earlier. This is the published compression rule —
+// wholesale re-placement looks equivalent but is not: an earlier job
+// compressed into a later job's window can push that job past its
+// promised start, which the validation fuzzer caught as a
+// broken-promise invariant violation. A reservation is abandoned
+// (re-placed later) only when its slot became infeasible through a
+// base-profile regression — an outage, an accepted external
+// reservation, or a running job overrunning its estimate — the
+// documented cases where the guarantee cannot hold.
 //
 // `reserve_depth` caps how many queued jobs hold reservations (0 =
 // every job, the classic policy): jobs beyond the depth backfill
@@ -37,8 +38,6 @@ class ConservativeScheduler final : public BackfillBase {
   std::string name() const override;
   void on_attach(SchedulerContext& ctx) override;
   void schedule(SchedulerContext& ctx) override;
-  bool try_reserve(SchedulerContext& ctx,
-                   const AdvanceReservation& reservation) override;
   std::optional<std::int64_t> predict_start(
       std::int64_t now, std::int64_t procs, std::int64_t estimate) const override;
   void save_state(sim::snapshot::Writer& w) const override;
@@ -46,20 +45,32 @@ class ConservativeScheduler final : public BackfillBase {
 
   int reserve_depth() const { return reserve_depth_; }
 
+ protected:
+  void on_base_change(std::int64_t start, std::int64_t end,
+                      std::int64_t used) override;
+
  private:
+  /// Move `q`'s claim in full_profile_ to `slot` (kForever = release
+  /// it) and record the slot; no-op when the slot is unchanged.
+  void move_claim(QueuedJob& q, std::int64_t slot);
+  /// profile_ plus every standing claim, built from scratch: the
+  /// cross-check's reference and the loader of older snapshots.
+  CapacityProfile rebuild_full_profile() const;
+
   int reserve_depth_ = 0;
 
   // A queued job's persistent reservation is QueuedJob::slot in queue_:
   // the promised start, granted at submission and only ever compressed
-  // earlier (see class comment). It leaves with the job's record.
+  // earlier (see class comment).
 
-  /// Base profile + the queue's reservation placements, as left by the
-  /// last schedule() pass; predict_start queries it directly instead of
-  /// replaying the whole queue per call. An accepted reservation
-  /// between events marks it stale (the base changed under the
-  /// placements), and the next predict_start rebuilds lazily.
-  mutable CapacityProfile full_profile_{0};
-  mutable bool full_profile_stale_ = false;
+  /// The reservation profile: profile_ plus every standing claim, at
+  /// all times. Base changes reach it through on_base_change(); a claim
+  /// is added, moved or released only through move_claim() — at
+  /// placement, compression, start (the claim becomes the running
+  /// usage), and when its job leaves the queue without a start from
+  /// this scheduler. Passes compress in place and predict_start queries
+  /// it directly. Compacted before `now` every pass.
+  CapacityProfile full_profile_{0};
 };
 
 }  // namespace pjsb::sched

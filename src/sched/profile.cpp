@@ -129,6 +129,54 @@ std::int64_t CapacityProfile::earliest_start(std::int64_t from,
   return candidate;
 }
 
+std::int64_t CapacityProfile::earliest_start_lifted(std::int64_t from,
+                                                    std::int64_t duration,
+                                                    std::int64_t procs,
+                                                    std::int64_t held) const {
+  if (procs <= 0 || duration <= 0) return from;
+  // One forward sweep. `candidate` is the start of the currently open
+  // feasible window (kForever = none); a window wins as soon as the next
+  // change lies at least `duration` past it. The held window's procs
+  // count as free, which splits the timeline into up to three regions of
+  // constant lift: before the window, inside it, after it. The window's
+  // edges need not be steps (another usage may change by the opposite
+  // amount there), so each region boundary is a change point too.
+  const std::size_t n = steps_.size();
+  std::size_t i = segment_index(from);
+  std::int64_t t = from;
+  std::int64_t candidate = kForever;
+  // Sweep [t, end) with `lift` extra procs free; true once the answer is
+  // known (a window was found, or the sweep ran past the last step).
+  const auto sweep = [&](std::int64_t end, std::int64_t lift) {
+    if (i < n && steps_[i].time == t) ++i;  // a step on the boundary
+    if ((i == 0 ? base_ : steps_[i - 1].avail) + lift < procs) {
+      candidate = kForever;
+    } else if (candidate == kForever) {
+      candidate = t;
+    }
+    for (; i < n && steps_[i].time < end; ++i) {
+      if (candidate != kForever && steps_[i].time - candidate >= duration) {
+        return true;
+      }
+      if (steps_[i].avail + lift < procs) {
+        candidate = kForever;
+      } else if (candidate == kForever) {
+        candidate = steps_[i].time;
+      }
+    }
+    // Past the last step the availability is constant forever.
+    if (end >= kForever) return true;
+    if (candidate != kForever && end - candidate >= duration) return true;
+    t = end;
+    return false;
+  };
+  const std::int64_t held_end = held >= kForever ? kForever : held + duration;
+  if (t < held && sweep(held, 0)) return candidate;
+  if (t < held_end && sweep(held_end, procs)) return candidate;
+  sweep(kForever, 0);
+  return candidate;
+}
+
 void CapacityProfile::compact_before(std::int64_t t) {
   // Count steps strictly before t.
   std::size_t n = 0;

@@ -59,6 +59,16 @@ class CapacityProfile {
   std::int64_t earliest_start(std::int64_t from, std::int64_t duration,
                               std::int64_t procs) const;
 
+  /// earliest_start() for a usage of (procs, duration) that currently
+  /// holds [held, held + duration), computed as if that usage were
+  /// removed: one sweep that counts the held window's procs as free, so
+  /// re-placing a reservation needs no remove/add round trip. held >=
+  /// kForever means nothing is held (same as earliest_start).
+  std::int64_t earliest_start_lifted(std::int64_t from,
+                                     std::int64_t duration,
+                                     std::int64_t procs,
+                                     std::int64_t held) const;
+
   /// True if `procs` are available throughout [start, start+duration).
   bool fits(std::int64_t start, std::int64_t duration,
             std::int64_t procs) const;

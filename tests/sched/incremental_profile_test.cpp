@@ -1,13 +1,17 @@
 // The backfill schedulers maintain their capacity profile incrementally
-// across events instead of rebuilding it per event. These tests force
-// the debug cross-check on (it throws if the incremental profile ever
-// diverges from a from-scratch rebuild) and drive the schedulers
-// through the situations that mutate the profile: early completions,
-// outage windows (announced and surprise), advance reservations, and
+// across events instead of rebuilding it per event, and conservative
+// backfilling also maintains its reservation profile (base + every
+// queued job's claim). These tests force the debug cross-check on (it
+// throws if either profile ever diverges from a from-scratch rebuild)
+// and drive the schedulers through the situations that mutate the
+// profiles: early completions, outage windows (announced and
+// surprise), advance reservations (free-standing and bound to a queued
+// job), cancellations of claim-holding queued jobs, and
 // failure-induced kills with requeue.
 #include <gtest/gtest.h>
 
 #include "sched/backfill.hpp"
+#include "sched/conservative.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/replay.hpp"
@@ -110,6 +114,108 @@ TEST(IncrementalProfile, ConservativeWithReservationsMatchesRebuild) {
 
 TEST(IncrementalProfile, EasyWithEverythingMatchesRebuild) {
   run_checked("easy", true, true);
+}
+
+TEST(IncrementalProfile, ConservativeWithEverythingMatchesRebuild) {
+  run_checked("conservative", true, true);
+}
+
+TEST(IncrementalProfile, ConservativeWithBoundReservationsMatchesRebuild) {
+  // Reservations bound to queued jobs (res.job_id): when the window
+  // opens the engine starts the job itself, so the job leaves the queue
+  // with a claim the scheduler must give back.
+  const std::int64_t nodes = 64;
+  const auto trace = model_trace(400, nodes, 0.9, 42);
+
+  sim::EngineConfig config;
+  config.nodes = nodes;
+  auto scheduler = std::make_unique<ConservativeScheduler>();
+  scheduler->set_cross_check(true);
+
+  sim::Engine engine(config, std::move(scheduler));
+  engine.load_trace(trace);
+  // Bind every fifth job to a window some time after it arrives; the
+  // job waits in the queue (holding a claim) until the window opens,
+  // unless its own claim comes due first.
+  std::vector<std::pair<std::int64_t, std::int64_t>> bound;  // id, start
+  const auto records = trace.summary_records();
+  for (std::size_t i = 10; i < records.size(); i += 5) {
+    const sim::SimJob job = sim::SimJob::from_record(records[i]);
+    AdvanceReservation res;
+    res.start = job.submit + 600 + std::int64_t(i % 7) * 300;
+    res.duration = job.estimate;
+    res.procs = job.procs;
+    res.job_id = job.id;
+    if (engine.request_reservation(res)) bound.emplace_back(job.id, res.start);
+  }
+  ASSERT_FALSE(bound.empty());
+  ASSERT_NO_THROW(engine.run());
+
+  std::size_t started_by_window = 0;
+  for (const auto& c : engine.completed()) {
+    for (const auto& [id, start] : bound) {
+      if (c.id == id && c.start == start) ++started_by_window;
+    }
+  }
+  EXPECT_GT(started_by_window, 0u);
+}
+
+/// Stepped run that cancels queued jobs between steps: the queue head
+/// (which holds a claim at every depth) and, less often, a job further
+/// back. The cancel's own pass must give back the claim.
+void run_with_cancels(int reserve_depth) {
+  const std::int64_t nodes = 64;
+  const auto trace = model_trace(400, nodes, 0.9, 17);
+
+  sim::EngineConfig config;
+  config.nodes = nodes;
+  auto scheduler = std::make_unique<ConservativeScheduler>(reserve_depth);
+  scheduler->set_cross_check(true);
+  sim::Engine engine(config, std::move(scheduler));
+  engine.load_trace(trace);
+
+  std::vector<std::int64_t> ids;
+  for (const auto& r : trace.summary_records()) {
+    ids.push_back(sim::SimJob::from_record(r).id);
+  }
+  const auto queued = [&] {
+    std::vector<std::int64_t> out;
+    for (const std::int64_t id : ids) {
+      const sim::SimJob* j = engine.find_job(id);
+      if (j && j->state == sim::JobState::kQueued) out.push_back(id);
+    }
+    return out;
+  };
+
+  util::Rng rng(3);
+  std::int64_t cancelled = 0;
+  const auto drive = [&] {
+    for (std::size_t steps = 1; engine.step(); ++steps) {
+      if (steps % 25 != 0) continue;
+      const auto q = queued();
+      if (q.empty()) continue;
+      EXPECT_TRUE(engine.cancel_job(q.front()));
+      ++cancelled;
+      if (steps % 50 == 0 && q.size() > 2) {
+        const auto pick =
+            std::size_t(rng.uniform_int(1, std::int64_t(q.size()) - 1));
+        EXPECT_TRUE(engine.cancel_job(q[pick]));
+        ++cancelled;
+      }
+    }
+  };
+  ASSERT_NO_THROW(drive());
+  EXPECT_GT(cancelled, 10);
+  EXPECT_EQ(engine.stats().jobs_dropped, cancelled);
+  EXPECT_GT(engine.completed().size(), 0u);
+}
+
+TEST(IncrementalProfile, ConservativeCancelsMatchRebuild) {
+  run_with_cancels(0);
+}
+
+TEST(IncrementalProfile, ConservativeDepthCancelsMatchRebuild) {
+  run_with_cancels(2);
 }
 
 TEST(IncrementalProfile, StepCountStaysBounded) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace pjsb::sched {
 namespace {
 
@@ -162,6 +166,93 @@ TEST(Profile, SameFromComparesOnlyTheFuture) {
   EXPECT_TRUE(a.same_from(b, 150));
   b.add_usage(150, 160, 1);
   EXPECT_FALSE(a.same_from(b, 50));
+}
+
+/// earliest_start_lifted's definition: lift the held usage off a copy,
+/// then ask earliest_start.
+std::int64_t lifted_oracle(const CapacityProfile& p, std::int64_t from,
+                           std::int64_t duration, std::int64_t procs,
+                           std::int64_t held) {
+  CapacityProfile copy = p;
+  copy.remove_usage(held, held + duration, procs);
+  return copy.earliest_start(from, duration, procs);
+}
+
+TEST(Profile, EarliestStartLiftedCompressesPastOwnClaim) {
+  CapacityProfile p(10);
+  p.add_usage(0, 50, 4);
+  p.add_usage(60, 110, 8);  // the held claim
+  // With the claim standing, 8 procs for 50 s fit only after it.
+  EXPECT_EQ(p.earliest_start(0, 50, 8), 110);
+  EXPECT_EQ(p.earliest_start_lifted(0, 50, 8, 60), 50);
+  // Nothing held: plain earliest_start.
+  EXPECT_EQ(p.earliest_start_lifted(0, 50, 8, kForever), 110);
+}
+
+TEST(Profile, EarliestStartLiftedSeesWindowEdgesThatAreNotSteps) {
+  // Another usage ends exactly where the held one starts, by the same
+  // procs: the canonical form stores no step at 100.
+  CapacityProfile p(10);
+  p.add_usage(0, 100, 4);
+  p.add_usage(100, 150, 4);  // held
+  EXPECT_EQ(p.step_count(), 2u);
+  EXPECT_EQ(p.earliest_start_lifted(0, 50, 8, 100), 100);
+  EXPECT_EQ(lifted_oracle(p, 0, 50, 8, 100), 100);
+}
+
+TEST(Profile, EarliestStartLiftedAboveCapacityIsForever) {
+  CapacityProfile p(10);
+  p.add_usage(5, 25, 12);  // held, regresses the profile below zero
+  EXPECT_EQ(p.earliest_start_lifted(0, 20, 12, 5), kForever);
+  EXPECT_EQ(p.earliest_start_lifted(10, 20, 12, 5), kForever);
+}
+
+TEST(Profile, EarliestStartLiftedMatchesRemoveThenQuery) {
+  constexpr std::int64_t kBase = 16;
+  util::Rng rng(20260719);
+  for (int round = 0; round < 300; ++round) {
+    CapacityProfile p(kBase);
+    std::vector<std::int64_t> edges = {0};
+    const int usages = int(rng.uniform_int(0, 12));
+    for (int u = 0; u < usages; ++u) {
+      const std::int64_t start = rng.uniform_int(0, 400);
+      const std::int64_t end = start + rng.uniform_int(1, 120);
+      p.add_usage(start, end, rng.uniform_int(1, 8));
+      edges.push_back(start);
+      edges.push_back(end);
+    }
+    // Every fourth profile regresses below zero somewhere, as an outage
+    // or an overrun can push the reservation profile.
+    if (round % 4 == 0) {
+      const std::int64_t start = rng.uniform_int(0, 400);
+      const std::int64_t end = start + rng.uniform_int(1, 120);
+      p.add_usage(start, end, kBase + rng.uniform_int(1, 8));
+      edges.push_back(start);
+      edges.push_back(end);
+    }
+    for (int q = 0; q < 20; ++q) {
+      const std::int64_t duration = rng.uniform_int(1, 100);
+      // Above capacity one query in five.
+      const std::int64_t procs = rng.uniform_int(1, kBase + 4);
+      const std::int64_t edge = edges[std::size_t(
+          rng.uniform_int(0, std::int64_t(edges.size()) - 1))];
+      // The held window starts on a step, ends on one, or sits between.
+      std::int64_t held = edge;
+      if (q % 3 == 1) held = std::max<std::int64_t>(0, edge - duration);
+      if (q % 3 == 2) held = edge + rng.uniform_int(1, 9);
+      // `from` before, inside, or past the held window's start.
+      const std::int64_t from =
+          std::max<std::int64_t>(0, held + rng.uniform_int(-60, 60));
+      p.add_usage(held, held + duration, procs);
+      ASSERT_EQ(p.earliest_start_lifted(from, duration, procs, held),
+                lifted_oracle(p, from, duration, procs, held))
+          << "round=" << round << " q=" << q << " from=" << from
+          << " held=" << held << " duration=" << duration
+          << " procs=" << procs << '\n'
+          << p.to_string();
+      p.remove_usage(held, held + duration, procs);
+    }
+  }
 }
 
 TEST(Profile, ToStringRendersSteps) {
