@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -236,9 +237,8 @@ void micro_bench(bench::JsonReporter& json, util::Table& table) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::BenchOptions::parse(argc, argv);
-
-  // Hidden child-phase dispatch.
+  // Hidden child-phase dispatch, ahead of the public option parser that
+  // would reject these arguments.
   std::map<std::string, std::string> phase_args;
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
@@ -265,6 +265,7 @@ int main(int argc, char** argv) {
     return fail("unknown phase " + phase);
   }
 
+  const auto options = bench::BenchOptions::parse(argc, argv);
   const std::uint64_t jobs = options.quick ? 50'000 : 1'000'000;
   bench::print_header(
       "E1+PR3: SWF substrate + streaming ingestion",

@@ -9,11 +9,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/aggregate.hpp"
@@ -31,21 +32,40 @@ inline constexpr std::uint64_t kSeed = 20240612;
 /// Common CLI for bench binaries: `--quick` shrinks problem sizes so CI
 /// can run the suite in seconds; `--json PATH` writes the results as
 /// JSON; `--dump-csv PATH` (where supported) writes per-job scheduler
-/// decisions for byte-identical regression comparison.
+/// decisions for byte-identical regression comparison. `--help` prints
+/// usage and exits 0; an unknown argument, or `--json`/`--dump-csv`
+/// without a value, prints usage to stderr and exits 2.
 struct BenchOptions {
   bool quick = false;
   std::string json_path;
   std::string csv_path;
 
+  static void usage(std::ostream& os, const char* program) {
+    os << "usage: " << program
+       << " [--quick] [--json PATH] [--dump-csv PATH]\n"
+       << "  --quick          shrink problem sizes\n"
+       << "  --json PATH      write the results as JSON\n"
+       << "  --dump-csv PATH  write per-job decision CSVs (where supported)\n";
+  }
+
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions o;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
+      const std::string_view arg = argv[i];
+      if (arg == "--quick") {
         o.quick = true;
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      } else if (arg == "--json" && i + 1 < argc) {
         o.json_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--dump-csv") == 0 && i + 1 < argc) {
+      } else if (arg == "--dump-csv" && i + 1 < argc) {
         o.csv_path = argv[++i];
+      } else if (arg == "--help") {
+        usage(std::cout, argv[0]);
+        std::exit(0);
+      } else {
+        std::cerr << argv[0] << ": unknown argument or missing value: "
+                  << arg << '\n';
+        usage(std::cerr, argv[0]);
+        std::exit(2);
       }
     }
     return o;

@@ -111,9 +111,9 @@ class BackfillBase : public Scheduler {
   /// consume_base_change() — a job ended/was killed, an outage window
   /// appeared/cleared, a reservation was committed, or an overrun
   /// extension fired. Pure submissions and compaction do not set it.
-  /// Lets subclasses that cache placements against the base (the
-  /// conservative compression pass) skip recomputation on
-  /// submission-only events.
+  /// Conservative backfilling compresses its held slots only on a pass
+  /// where this is true or a job left its queue; on submission-only
+  /// passes they stand.
   bool consume_base_change() {
     const bool changed = base_changed_;
     base_changed_ = false;

@@ -1,6 +1,5 @@
 #include "sched/conservative.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -67,7 +66,6 @@ CapacityProfile ConservativeScheduler::rebuild_full_profile() const {
 
 void ConservativeScheduler::schedule(SchedulerContext& ctx) {
   const std::int64_t now = ctx.now();
-  total_nodes_ = ctx.machine().total_nodes();
   // Jobs that left the queue without a start from this scheduler — a
   // reservation bound to the job started it, or Engine::cancel_job
   // dropped it — give back the claims they held.
@@ -105,75 +103,28 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
     return true;
   };
 
-  // Submission-only fast path: when the base profile's semantics did
-  // not change since the last pass and no claim was given back,
-  // standing reservations can neither improve nor break — only
-  // reservations that came due need starting and only unplaced (new /
-  // beyond-depth) jobs need work. This is the common case on a
-  // backfill-heavy replay (every job contributes one submit event).
-  if (!consume_base_change() && !left_queue) {
-    // Depth slots in use: one per job holding a reservation.
-    std::size_t reserved = 0;
-    if (reserve_depth_ > 0) {
-      reserved = std::size_t(std::count_if(
-          queue_.begin(), queue_.end(),
-          [](const QueuedJob& q) { return q.slot < kForever; }));
+  // Held slots are compressed only on a pass where the base profile's
+  // semantics changed or a claim was given back. On any other pass (a
+  // pure submission, the common event on a backfill-heavy replay) every
+  // standing reservation stands, even one that a re-sweep would move
+  // earlier: a compression is one walk in queue order, so a slot freed
+  // by a later job's move waits for the next compression. Only
+  // reservations that came due and unplaced (new / beyond-depth) jobs
+  // need work then.
+  const bool compress = consume_base_change() || left_queue;
+  if (compress) {
+    // A slot that slipped into the past is a promise already void (the
+    // start at the reserved time failed on a shrunken machine, or no
+    // event landed on the slot at all — possible once kills requeue
+    // jobs). A void claim must not stand: with several stale
+    // full-machine claims, each would block the others from
+    // compressing to `now` and the run could drain its events with the
+    // machine idle and jobs still queued. Its holder is re-placed below
+    // as a fresh job.
+    for (QueuedJob& q : queue_) {
+      if (q.slot < now) move_claim(q, kForever);
     }
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      QueuedJob& q = *it;
-      if (q.slot < kForever) {
-        // A standing reservation: due (the clock reached its slot —
-        // e.g. a submission event landing exactly on it) means start.
-        if (q.slot <= now &&
-            start_as(q, sim::StartProvenance::kReservation, q.slot)) {
-          it = queue_.erase(it);
-          --reserved;  // a started job frees its depth slot
-          continue;
-        }
-        ++it;
-        continue;
-      }
-      const bool in_depth =
-          reserve_depth_ == 0 || reserved < std::size_t(reserve_depth_);
-      if (in_depth) {
-        const std::int64_t t =
-            full_profile_.earliest_start(now, q.estimate, q.procs);
-        // An immediate first placement is a queue-order start at the
-        // front, a backfill move (ahead of earlier queued jobs) behind.
-        if (t == now &&
-            start_as(q, it == queue_.begin()
-                            ? sim::StartProvenance::kQueueHead
-                            : sim::StartProvenance::kBackfill)) {
-          it = queue_.erase(it);
-          continue;
-        }
-        move_claim(q, t);
-        ++reserved;
-        ++it;
-      } else if (full_profile_.fits(now, q.estimate, q.procs) &&
-                 start_as(q, sim::StartProvenance::kBackfill)) {
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    full_profile_.compact_before(now);
-    return;
   }
-
-  // Compression pass over the maintained profile. A slot that slipped
-  // into the past is a promise already void (the start at the reserved
-  // time failed on a shrunken machine, or no event landed on the slot
-  // at all — possible once kills requeue jobs). A void claim must not
-  // stand: with several stale full-machine claims, each would block the
-  // others from compressing to `now` and the run could drain its events
-  // with the machine idle and jobs still queued. Drop it before the
-  // compaction folds its start into history; the holder is re-placed
-  // below as a fresh job.
-  for (QueuedJob& q : queue_) {
-    if (q.slot < now) move_claim(q, kForever);
-  }
-  full_profile_.compact_before(now);
 
   std::size_t reserved = 0;
   for (auto it = queue_.begin(); it != queue_.end();) {
@@ -181,7 +132,7 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
     const bool in_depth =
         reserve_depth_ == 0 || reserved < std::size_t(reserve_depth_);
     if (in_depth) {
-      // Compress (or first-place) this job's reservation with every
+      // A compression pass re-places a held reservation with every
       // other claim standing: its new slot is the earliest start with
       // its own claim lifted. That is never later than a slot that
       // still fits (earliest_start returns the first start that fits),
@@ -189,20 +140,24 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
       // is gone — an outage window opened over it, an accepted external
       // reservation claimed it, or an overrunning job ate it — the
       // documented cases where the promise is void.
-      const std::int64_t prior_slot = q.slot;
-      const std::int64_t t = full_profile_.earliest_start_lifted(
-          now, q.estimate, q.procs, prior_slot);
-      // Starting from a held reservation (possibly compressed to now)
-      // is a reservation start carrying the prior promised slot; a
+      const std::int64_t held = q.slot;
+      const std::int64_t t =
+          held == kForever
+              ? full_profile_.earliest_start(now, q.estimate, q.procs)
+          : compress ? full_profile_.earliest_start_lifted(now, q.estimate,
+                                                           q.procs, held)
+                     : held;
+      // Starting from a held reservation that came due (or compressed
+      // to now) is a reservation start carrying the promised slot; a
       // first placement that lands on "now" is a queue-order start at
       // the front, a backfill move behind it.
-      if (t == now &&
+      if (t <= now &&
           start_as(q,
-                   prior_slot < kForever ? sim::StartProvenance::kReservation
+                   held < kForever ? sim::StartProvenance::kReservation
                    : it == queue_.begin()
                        ? sim::StartProvenance::kQueueHead
                        : sim::StartProvenance::kBackfill,
-                   prior_slot < kForever ? prior_slot : -1)) {
+                   held < kForever ? held : -1)) {
         it = queue_.erase(it);
         continue;
       }
@@ -216,6 +171,7 @@ void ConservativeScheduler::schedule(SchedulerContext& ctx) {
       ++it;
     }
   }
+  full_profile_.compact_before(now);
 }
 
 std::optional<std::int64_t> ConservativeScheduler::predict_start(

@@ -18,6 +18,11 @@
 // reservation, or a running job overrunning its estimate — the
 // documented cases where the guarantee cannot hold.
 //
+// Each pass is one walk over the queue in FIFO order. Held slots are
+// compressed only when the base profile changed or a claim was given
+// back; on a submission-only pass every standing reservation stands,
+// one that came due starts, and only unplaced jobs get a sweep.
+//
 // `reserve_depth` caps how many queued jobs hold reservations (0 =
 // every job, the classic policy): jobs beyond the depth backfill
 // opportunistically, sliding the policy toward EASY from the other end

@@ -28,7 +28,6 @@ std::string EasyScheduler::name() const {
 
 void EasyScheduler::schedule(SchedulerContext& ctx) {
   const std::int64_t now = ctx.now();
-  total_nodes_ = ctx.machine().total_nodes();
   prune_queue(ctx);
   refresh_profile(now);
 
@@ -43,33 +42,25 @@ void EasyScheduler::schedule(SchedulerContext& ctx) {
   // backfill placements stay local to this pass.
   CapacityProfile profile = profile_;
 
-  // Start jobs in FIFO order while the head fits immediately.
-  while (!queue_.empty()) {
-    const QueuedJob& q = queue_.front();
-    if (profile.fits(now, q.estimate, q.procs) &&
-        start_as(q.id, sim::StartProvenance::kQueueHead)) {
-      profile.add_usage(now, now + q.estimate, q.procs);
-      note_started(q.id, now, q.estimate, q.procs);
-      queue_.pop_front();
-      continue;
-    }
-    break;
-  }
-  if (queue_.empty()) return;
-
-  // Shadow reservations for the first reserve_depth_ blocked jobs, each
-  // at its earliest feasible start given the reservations before it. A
-  // protected job behind the head may start outright when its earliest
-  // start is now (with depth 1 only the head is protected, and the head
-  // is blocked, so this loop reduces to the classic single shadow).
+  // Shadow reservations for the first reserve_depth_ jobs that cannot
+  // start now, each at its earliest feasible start given the
+  // reservations before it. A job whose earliest start is now starts
+  // outright: at the front of the queue that is a queue-order start; a
+  // protected job behind a blocked one starts at its shadow slot, a
+  // promoted reservation rather than a backfill move. With depth 1 the
+  // loop starts the head while it fits and then places the classic
+  // single shadow.
   auto it = queue_.begin();
   std::size_t placed = 0;
   while (placed < std::size_t(reserve_depth_) && it != queue_.end()) {
     const QueuedJob& q = *it;
     const std::int64_t t = profile.earliest_start(now, q.estimate, q.procs);
-    // A protected job starting at its shadow slot is a promoted
-    // reservation, not a backfill move.
-    if (t == now && start_as(q.id, sim::StartProvenance::kReservation, t)) {
+    const bool head = it == queue_.begin();
+    if (t == now &&
+        start_as(q.id,
+                 head ? sim::StartProvenance::kQueueHead
+                      : sim::StartProvenance::kReservation,
+                 head ? -1 : t)) {
       profile.add_usage(now, now + q.estimate, q.procs);
       note_started(q.id, now, q.estimate, q.procs);
       it = queue_.erase(it);

@@ -2,7 +2,9 @@
 // de-facto production policy on the machines whose logs the paper
 // canonizes. FIFO order with one guarantee: the queue head receives a
 // shadow reservation at its earliest feasible start, and later jobs may
-// backfill only if they do not delay that reservation.
+// backfill only if they do not delay that reservation. A pass is one
+// walk: jobs start in FIFO order while they fit, the first blocked job
+// gets the shadow, and the rest of the queue backfills around it.
 //
 // `reserve_depth` generalizes the guarantee to the first K queued jobs
 // (K=1 is classic EASY): deeper protection trades backfilling

@@ -85,32 +85,28 @@ void SjfScheduler::on_job_end(SchedulerContext& /*ctx*/,
                               std::int64_t /*job_id*/) {}
 
 void SjfScheduler::schedule(SchedulerContext& ctx) {
-  bool progress = true;
-  while (progress && !queue_.empty()) {
-    progress = false;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      const auto& j = ctx.job(*it);
-      if (j.state != sim::JobState::kQueued) {
-        it = queue_.erase(it);
-        progress = true;
-        break;
-      }
-      if (j.procs <= ctx.machine().free_nodes()) {
-        // The policy-order head is a queue-order start; an sjf-fit scan
-        // that reaches past it starts a job ahead of the blocked head —
-        // a backfill move in SJF order.
-        ctx.annotate_start(it == queue_.begin()
-                               ? sim::StartProvenance::kQueueHead
-                               : sim::StartProvenance::kBackfill);
-        if (ctx.start_job(*it)) {
-          queue_.erase(it);
-          progress = true;
-          break;
-        }
-      }
-      if (!allow_fit_) break;  // strict SJF: shortest job blocks
-      ++it;
+  // One scan in policy order. A start only shrinks the free pool, so a
+  // job passed over earlier in the scan still cannot fit.
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    const auto& j = ctx.job(*it);
+    if (j.state != sim::JobState::kQueued) {
+      it = queue_.erase(it);
+      continue;
     }
+    if (j.procs <= ctx.machine().free_nodes()) {
+      // The policy-order head is a queue-order start; an sjf-fit scan
+      // that reaches past it starts a job ahead of the blocked head —
+      // a backfill move in SJF order.
+      ctx.annotate_start(it == queue_.begin()
+                             ? sim::StartProvenance::kQueueHead
+                             : sim::StartProvenance::kBackfill);
+      if (ctx.start_job(*it)) {
+        it = queue_.erase(it);
+        continue;
+      }
+    }
+    if (!allow_fit_) break;  // strict SJF: shortest job blocks
+    ++it;
   }
 }
 

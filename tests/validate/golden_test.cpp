@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/swf/reader.hpp"
+#include "util/rng.hpp"
 #include "validate/decisions.hpp"
 #include "validate/fuzzer.hpp"
+#include "workload/model.hpp"
+#include "workload/scale.hpp"
 
 namespace pjsb {
 namespace {
@@ -65,6 +70,44 @@ TEST(Golden, ContentionSnapshotsMatchAndDiscriminatePolicies) {
   EXPECT_NE(cons_csv, easy_csv);
   EXPECT_NE(cons_csv, fcfs_csv);
   EXPECT_NE(easy_csv, fcfs_csv);
+}
+
+// 64-bit FNV-1a: pins a decision trace too long to commit as a file.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Golden, SeededLublinTracePinsQueueOrderedPolicies) {
+  // The trace `swf_tool generate lublin99 3000 64 0.9` writes: a queue
+  // deep and long-lived enough that depth-limited reservations, held
+  // slots surviving submission-only passes and SJF's out-of-order
+  // starts all shape the schedule, which the small committed traces do
+  // not exercise.
+  util::Rng rng(12345);
+  workload::ModelConfig config;
+  config.jobs = 3000;
+  config.machine_nodes = 64;
+  const swf::Trace trace = workload::scale_to_load(
+      workload::generate(workload::ModelKind::kLublin99, config, rng), 0.9,
+      64);
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"conservative", 0x62de039156ce3bdbULL},
+      {"conservative reserve_depth=4", 0xf1140396b8a99cebULL},
+      {"easy reserve_depth=4", 0x8cb6ee1fda5e65f9ULL},
+      {"sjf", 0x239df104b419b194ULL},
+      {"sjf-fit", 0x85167b9444a65787ULL},
+  };
+  // The five pins differ, so each one discriminates its policy.
+  for (const auto& [spec, pin] : pins) {
+    const std::uint64_t h = fnv1a64(validate::decisions_to_csv(
+        validate::replay_decisions(trace, spec, 64)));
+    EXPECT_EQ(h, pin) << spec << ": 0x" << std::hex << h;
+  }
 }
 
 TEST(Golden, BlessThenCheckRoundTrips) {
